@@ -197,6 +197,21 @@ def _run_check(args, parser) -> int:
     return EXIT_OK
 
 
+def _arity_mismatches(model: kripke.KripkeModel, sig: fml.Signature) -> list[str]:
+    """Symbols that the fixture interprets with another arity than the
+    problem uses; a symbol the fixture leaves out is not a mismatch."""
+    given = {
+        "predicate": {name: len(next(iter(ext))) for (name, _), ext in model.preds.items()},
+        "function": {name: len(args) for name, args in model.funcs},
+    }
+    return [
+        f"{kind} {name} has arity {arity} in the problem but {given[kind][name]} in the fixture"
+        for kind, used in (("predicate", sig.predicates), ("function", sig.functions))
+        for name, arity in used.items()
+        if given[kind].get(name, arity) != arity
+    ]
+
+
 def _run_eval(args, parser) -> int:
     config = _config_from_args(args, parser)
     problem = _parse_input(args.input)
@@ -218,6 +233,11 @@ def _run_eval(args, parser) -> int:
     conjecture = problem.conjecture()
     if conjecture is None:
         print("the problem has no conjecture to evaluate", file=sys.stderr)
+        return EXIT_INPUT
+    mismatches = _arity_mismatches(model, fml.collect_signature(problem))
+    if mismatches:
+        for message in mismatches:
+            print(message, file=sys.stderr)
         return EXIT_INPUT
     try:
         for w in model.worlds:

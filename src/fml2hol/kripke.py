@@ -10,13 +10,22 @@ of that this module provides
 - eval_hol: full finite-domain evaluation of embedded HOL terms, so both
   readings of a formula can be compared on the same model,
 - check_frame / check_domains and their violation-listing variants,
-- find_countermodel: bounded enumeration of models refuting a conjecture,
+- find_countermodel: bounded search for a model refuting a conjecture,
+  with one enumerator over frames rooted at w1 (every world reachable
+  from it, the conjecture refuted there),
 - correspondence_check: per-world agreement of the two readings,
 - parse_model / print_model for the line-based fixture format.
 
 Terms denote rigidly and may denote individuals outside dom(w); only
 quantifiers are restricted to dom(w).  This matches the embedding, whose
 existence guard appears at quantifiers only.
+
+Rooting loses nothing: a model refuting a formula at w restricts to the
+submodel generated by w, which keeps the frame and domain conditions and
+every truth value at w.  Individuals are enumerated up to renaming,
+whatever the signature.  Frame and domain conditions each have one
+definition, the violation generators behind frame_violations and
+domain_violations, which the search calls as filters.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 import itertools
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import embedding, fml, hol
 from .embedding import DomainCondition, FrameProperty, TranslationConfig, frame_properties
@@ -93,6 +102,17 @@ class KripkeModel:
         )
         self._validate()
 
+    @classmethod
+    def _unchecked(cls, worlds, rel, universe, dom, consts, funcs, preds) -> KripkeModel:
+        """Skip normalization and validation, for the many candidates of a
+        search; the winner is rebuilt through __init__ before it is returned."""
+        model = object.__new__(cls)
+        model.__dict__.update(
+            worlds=worlds, rel=rel, universe=universe, dom=dom,
+            consts=consts, funcs=funcs, preds=preds,
+        )
+        return model
+
     def _validate(self):
         if not self.worlds:
             raise ModelError("a model needs at least one world")
@@ -147,25 +167,6 @@ class KripkeModel:
                     raise ModelError(f"predicate {name} used with two different arities")
                 if any(a not in universe for a in args):
                     raise ModelError(f"predicate {name} holds of unknown individuals")
-
-
-class _Candidate:
-    """Duck-typed stand-in for KripkeModel used inside the search loop,
-
-    skipping per-candidate validation; only the winner is promoted to a
-    real (validated) KripkeModel.
-    """
-
-    __slots__ = ("worlds", "rel", "universe", "dom", "consts", "funcs", "preds")
-
-    def __init__(self, worlds, rel, universe, dom, consts, funcs, preds):
-        self.worlds = worlds
-        self.rel = rel
-        self.universe = universe
-        self.dom = dom
-        self.consts = consts
-        self.funcs = funcs
-        self.preds = preds
 
 
 def _eval_term(model, term: fml.Term, assignment) -> str:
@@ -332,34 +333,69 @@ def eval_hol(model, term: hol.Term, environment=None):
     return go(term, {} if environment is None else dict(environment))
 
 
-def frame_violations(model, logic: embedding.Logic) -> tuple[str, ...]:
-    """Violation messages, one per offending world or pair; empty if none."""
-    rel = model.rel
+def _frame_faults(worlds, rel, logic: embedding.Logic):
+    """Lazily yield frame_violations' messages for a bare relation."""
     pairs = sorted(rel)
-    msgs = []
     for prop in frame_properties(logic):
         if prop is FrameProperty.SERIAL:
-            for w in model.worlds:
-                if not any((w, v) in rel for v in model.worlds):
-                    msgs.append(f"not serial: {w} has no successor")
+            for w in worlds:
+                if not any((w, v) in rel for v in worlds):
+                    yield f"not serial: {w} has no successor"
         elif prop is FrameProperty.REFLEXIVE:
-            for w in model.worlds:
+            for w in worlds:
                 if (w, w) not in rel:
-                    msgs.append(f"not reflexive: missing {w}>{w}")
+                    yield f"not reflexive: missing {w}>{w}"
         elif prop is FrameProperty.TRANSITIVE:
             for u, v in pairs:
                 for v2, w in pairs:
                     if v2 == v and (u, w) not in rel:
-                        msgs.append(f"not transitive: {u}>{v} and {v}>{w} but not {u}>{w}")
+                        yield f"not transitive: {u}>{v} and {v}>{w} but not {u}>{w}"
         elif prop is FrameProperty.SYMMETRIC:
             for u, v in pairs:
                 if (v, u) not in rel:
-                    msgs.append(f"not symmetric: {u}>{v} but not {v}>{u}")
-    return tuple(msgs)
+                    yield f"not symmetric: {u}>{v} but not {v}>{u}"
+
+
+def frame_violations(model, logic: embedding.Logic) -> tuple[str, ...]:
+    """Violation messages, one per offending world or pair; empty if none."""
+    return tuple(_frame_faults(model.worlds, model.rel, logic))
 
 
 def check_frame(model, logic: embedding.Logic) -> bool:
     return not frame_violations(model, logic)
+
+
+def _existence_faults(worlds, rel, universe, dom, domain: DomainCondition):
+    """The constant and cumulative clauses.  Both speak of one individual
+    at a time, so they hold of a model exactly when they hold of each of
+    its individuals alone."""
+    if domain is DomainCondition.CONSTANT:
+        full = frozenset(universe)
+        for w in worlds:
+            if dom[w] != full:
+                yield f"not constant: dom({w}) differs from the universe"
+    elif domain is DomainCondition.CUMULATIVE:
+        for u, v in sorted(rel):
+            missing = sorted(dom[u] - dom[v])
+            if missing:
+                yield f"not cumulative: {missing[0]} exists at {u} but not at {v} despite {u}>{v}"
+
+
+def _interpretation_faults(worlds, dom, consts, funcs):
+    """The non-emptiness, designation and closure clauses."""
+    for w in worlds:
+        if not dom[w]:
+            yield f"non-emptiness violated: dom({w}) is empty"
+    for name in sorted(consts):
+        val = consts[name]
+        for w in worlds:
+            if val not in dom[w]:
+                yield f"undesignated constant: {name} = {val} is not in dom({w})"
+    for name, args in sorted(funcs):
+        val = funcs[(name, args)]
+        for w in worlds:
+            if val not in dom[w] and all(a in dom[w] for a in args):
+                yield f"unclosed function: {name}({','.join(args)}) = {val} leaves dom({w})"
 
 
 def domain_violations(model, domain: DomainCondition) -> tuple[str, ...]:
@@ -370,35 +406,11 @@ def domain_violations(model, domain: DomainCondition) -> tuple[str, ...]:
     values that stay inside any domain their arguments come from.
     Cumulative adds monotonicity of domains along the relation.
     """
-    msgs = []
+    existence = _existence_faults(model.worlds, model.rel, model.universe, model.dom, domain)
     if domain is DomainCondition.CONSTANT:
-        full = frozenset(model.universe)
-        for w in model.worlds:
-            if model.dom[w] != full:
-                msgs.append(f"not constant: dom({w}) differs from the universe")
-        return tuple(msgs)
-    for w in model.worlds:
-        if not model.dom[w]:
-            msgs.append(f"non-emptiness violated: dom({w}) is empty")
-    for name in sorted(model.consts):
-        val = model.consts[name]
-        for w in model.worlds:
-            if val not in model.dom[w]:
-                msgs.append(f"undesignated constant: {name} = {val} is not in dom({w})")
-    for name, args in sorted(model.funcs):
-        val = model.funcs[(name, args)]
-        for w in model.worlds:
-            if val not in model.dom[w] and all(a in model.dom[w] for a in args):
-                entry = f"{name}({','.join(args)}) = {val}"
-                msgs.append(f"unclosed function: {entry} leaves dom({w})")
-    if domain is DomainCondition.CUMULATIVE:
-        for u, v in sorted(model.rel):
-            missing = sorted(model.dom[u] - model.dom[v])
-            if missing:
-                msgs.append(
-                    f"not cumulative: {missing[0]} exists at {u} but not at {v} despite {u}>{v}"
-                )
-    return tuple(msgs)
+        return tuple(existence)
+    interpretation = _interpretation_faults(model.worlds, model.dom, model.consts, model.funcs)
+    return (*interpretation, *existence)
 
 
 def check_domains(model, domain: DomainCondition) -> bool:
@@ -459,162 +471,81 @@ def _check_deadline(deadline):
         raise _Deadline
 
 
-def _frame_ok(rel, worlds, props) -> bool:
-    for prop in props:
-        if prop is FrameProperty.SERIAL:
-            if any(all((w, v) not in rel for v in worlds) for w in worlds):
-                return False
-        elif prop is FrameProperty.REFLEXIVE:
-            if any((w, w) not in rel for w in worlds):
-                return False
-        elif prop is FrameProperty.TRANSITIVE:
-            for u, v in rel:
-                for w in worlds:
-                    if (v, w) in rel and (u, w) not in rel:
-                        return False
-        elif prop is FrameProperty.SYMMETRIC:
-            if any((v, u) not in rel for u, v in rel):
-                return False
-    return True
+def _rooted(worlds, rel) -> bool:
+    """Is every world reachable from the first one?"""
+    seen = {worlds[0]}
+    frontier = [worlds[0]]
+    while frontier:
+        u = frontier.pop()
+        for v in worlds:
+            if v not in seen and (u, v) in rel:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == len(worlds)
 
 
-def _relations(worlds, props):
+def _relations(worlds, logic: embedding.Logic, deadline):
     pairs = [(u, v) for u in worlds for v in worlds]
     for mask in range(2 ** len(pairs)):
+        # most masks are filtered out, so the budget is checked per mask
+        _check_deadline(deadline)
         rel = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        if _frame_ok(rel, worlds, props):
+        if _rooted(worlds, rel) and next(_frame_faults(worlds, rel, logic), None) is None:
             yield rel
 
 
-def _refutes(model, assumptions, goal):
-    """Witness world where the goal fails, if every assumption is valid."""
-    for a in assumptions:
-        for w in model.worlds:
-            if not eval_fml(model, w, a):
-                return None
-    for w in model.worlds:
-        if not eval_fml(model, w, goal):
-            return w
-    return None
-
-
-def _domains(worlds, universe, rel, domain):
-    if domain is DomainCondition.CONSTANT:
-        yield {w: frozenset(universe) for w in worlds}
-        return
-    nonempty = [
-        frozenset(c)
-        for size in range(1, len(universe) + 1)
-        for c in itertools.combinations(universe, size)
-    ]
-    for choice in itertools.product(nonempty, repeat=len(worlds)):
-        dom = dict(zip(worlds, choice))
-        if domain is DomainCondition.CUMULATIVE:
-            if any(not dom[u] <= dom[v] for u, v in rel):
-                continue
-        yield dom
-
-
-def _function_interps(functions, universe):
-    per_func = []
-    for name, arity in functions.items():
-        args_list = list(itertools.product(universe, repeat=arity))
-        options = []
-        for values in itertools.product(universe, repeat=len(args_list)):
-            options.append(dict(zip(((name, args) for args in args_list), values)))
-        per_func.append(options)
-    for chosen in itertools.product(*per_func):
-        merged = {}
-        for part in chosen:
-            merged.update(part)
-        yield merged
-
-
-def _interpretation_ok(consts, funcs, dom, worlds, domain) -> bool:
-    # mirrors the designation and closure clauses of check_domains
-    if domain is DomainCondition.CONSTANT:
-        return True
-    for val in consts.values():
-        if any(val not in dom[w] for w in worlds):
-            return False
-    for (_, args), val in funcs.items():
-        for w in worlds:
-            if val not in dom[w] and all(a in dom[w] for a in args):
-                return False
-    return True
-
-
-def _search_generic(worlds, universe, sig, assumptions, goal, config, deadline):
-    tuples_of = {
-        p: list(itertools.product(universe, repeat=k)) for p, k in sig.predicates.items()
-    }
-    slots = [(p, w) for p in sig.predicates for w in worlds]
-    mask_ranges = [range(2 ** len(tuples_of[p])) for p, _ in slots]
-    for rel in _relations(worlds, frame_properties(config.logic)):
-        _check_deadline(deadline)
-        for dom in _domains(worlds, universe, rel, config.domain):
-            for const_vals in itertools.product(universe, repeat=len(sig.constants)):
-                consts = dict(zip(sig.constants, const_vals))
-                for funcs in _function_interps(sig.functions, universe):
-                    if not _interpretation_ok(consts, funcs, dom, worlds, config.domain):
-                        continue
-                    for masks in itertools.product(*mask_ranges):
-                        _check_deadline(deadline)
-                        preds = {}
-                        for (p, w), mask in zip(slots, masks):
-                            if mask:
-                                tuples = tuples_of[p]
-                                preds[(p, w)] = frozenset(
-                                    tuples[i] for i in range(len(tuples)) if mask >> i & 1
-                                )
-                        candidate = _Candidate(worlds, rel, universe, dom, consts, funcs, preds)
-                        witness = _refutes(candidate, assumptions, goal)
-                        if witness is not None:
-                            return candidate, witness
-    return None
+def _refutes(model, assumptions, goal) -> bool:
+    """Is the goal false at the first world while every assumption is valid?"""
+    if eval_fml(model, model.worlds[0], goal):
+        return False
+    return all(eval_fml(model, w, a) for a in assumptions for w in model.worlds)
 
 
 def _behaviors(worlds, rel, unary_count, domain):
     """Per-individual behavior: for each world, an existence bit plus one
-    membership bit per unary predicate.  Enumeration order is fixed, so
-    combinations_with_replacement over it is a canonical form for models
-    that cannot distinguish individuals any other way."""
+    membership bit per unary predicate, for every existence vector that
+    meets the constant and cumulative clauses on its own.  Enumeration
+    order is fixed, so combinations_with_replacement over it takes the
+    individuals in one canonical order; as the search then enumerates
+    constants, functions and the other predicates in full, every model
+    has an isomorphic copy among its candidates."""
     bit_options = list(itertools.product(_TRUTH_VALUES, repeat=unary_count))
-    if domain is DomainCondition.CONSTANT:
-        exist_options = (True,)
-    else:
-        exist_options = _TRUTH_VALUES
-    per_world = list(itertools.product(exist_options, bit_options))
+    lone = ("d1",)
     out = []
-    for behavior in itertools.product(per_world, repeat=len(worlds)):
-        if domain is DomainCondition.CUMULATIVE:
-            index = {w: i for i, w in enumerate(worlds)}
-            if any(
-                behavior[index[u]][0] and not behavior[index[v]][0] for u, v in rel
-            ):
-                continue
-        out.append(behavior)
+    for exists in itertools.product(_TRUTH_VALUES, repeat=len(worlds)):
+        dom = {w: frozenset(lone) if e else _EMPTY for w, e in zip(worlds, exists)}
+        if next(_existence_faults(worlds, rel, lone, dom, domain), None) is None:
+            out.extend(itertools.product(*([(e, b) for b in bit_options] for e in exists)))
     return out
 
 
-def _search_profiles(worlds, universe, sig, assumptions, goal, config, deadline):
+def _search(worlds, universe, sig, assumptions, goal, config, deadline):
+    """First model over these worlds and individuals, rooted at worlds[0],
+    that refutes the goal there; None if there is none."""
     unary = [p for p, k in sig.predicates.items() if k == 1]
-    nullary = [p for p, k in sig.predicates.items() if k == 0]
-    world_subsets = list(
-        itertools.chain.from_iterable(
-            itertools.combinations(worlds, size) for size in range(len(worlds) + 1)
-        )
-    )
-    for rel in _relations(worlds, frame_properties(config.logic)):
-        _check_deadline(deadline)
+    extensions = {}  # per arity, shared by the predicates of that arity
+    for k in set(sig.predicates.values()) - {1}:
+        tuples = list(itertools.product(universe, repeat=k))
+        extensions[k] = [
+            frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
+            for mask in range(2 ** len(tuples))
+        ]
+    slots = [(p, w) for p, k in sig.predicates.items() if k != 1 for w in worlds]
+    slot_options = [extensions[sig.predicates[p]] for p, _ in slots]
+    const_options = [
+        dict(zip(sig.constants, values))
+        for values in itertools.product(universe, repeat=len(sig.constants))
+    ]
+    # one option list per function; their product is walked lazily below
+    func_options = []
+    for name, arity in sig.functions.items():
+        entries = [(name, args) for args in itertools.product(universe, repeat=arity)]
+        values = itertools.product(universe, repeat=len(entries))
+        func_options.append([dict(zip(entries, v)) for v in values])
+    for rel in _relations(worlds, config.logic, deadline):
         behaviors = _behaviors(worlds, rel, len(unary), config.domain)
         for combo in itertools.combinations_with_replacement(behaviors, len(universe)):
             _check_deadline(deadline)
-            if config.domain is not DomainCondition.CONSTANT:
-                if any(
-                    not any(b[i][0] for b in combo) for i in range(len(worlds))
-                ):
-                    continue
             dom = {
                 w: frozenset(x for x, b in zip(universe, combo) if b[i][0])
                 for i, w in enumerate(worlds)
@@ -625,15 +556,21 @@ def _search_profiles(worlds, universe, sig, assumptions, goal, config, deadline)
                     ext = frozenset((x,) for x, b in zip(universe, combo) if b[i][1][pi])
                     if ext:
                         base_preds[(p, w)] = ext
-            for truths in itertools.product(world_subsets, repeat=len(nullary)):
-                preds = dict(base_preds)
-                for p, true_at in zip(nullary, truths):
-                    for w in true_at:
-                        preds[(p, w)] = frozenset({()})
-                candidate = _Candidate(worlds, rel, universe, dom, {}, {}, preds)
-                witness = _refutes(candidate, assumptions, goal)
-                if witness is not None:
-                    return candidate, witness
+            for consts in const_options:
+                for parts in itertools.product(*func_options):
+                    _check_deadline(deadline)
+                    funcs = {k: v for part in parts for k, v in part.items()}
+                    if next(_interpretation_faults(worlds, dom, consts, funcs), None) is not None:
+                        continue
+                    for exts in itertools.product(*slot_options):
+                        _check_deadline(deadline)
+                        preds = dict(base_preds)
+                        preds.update((slot, ext) for slot, ext in zip(slots, exts) if ext)
+                        candidate = KripkeModel._unchecked(
+                            worlds, rel, universe, dom, consts, funcs, preds
+                        )
+                        if _refutes(candidate, assumptions, goal):
+                            return candidate
     return None
 
 
@@ -653,12 +590,19 @@ def find_countermodel(
 ) -> SearchResult:
     """Bounded search for a model refuting the problem's conjecture.
 
-    Enumerates sizes smallest first (worlds before individuals), then
-    relations satisfying the frame conditions, then domains, then
-    interpretations; a hit must make every non-conjecture unit true at
-    every world and the conjecture false somewhere.  Signatures without
-    constants and functions whose predicates are at most unary are
-    enumerated up to individual renaming.  Returns the first countermodel
+    Enumerates sizes smallest first (worlds before individuals); a hit
+    makes every non-conjecture unit true at every world and the
+    conjecture false at the first world, w1.  One enumerator walks the
+    relations that satisfy the frame conditions, then builds the model
+    individual by individual (existence and unary predicates per world),
+    then constants, functions and the remaining predicate extensions.
+    Only frames rooted at w1, with every world reachable from it, are
+    enumerated: a model refuting the conjecture at w restricts to the
+    submodel generated by w, which keeps every frame and domain condition
+    and every verdict there, so neither the answer nor the smallest size
+    changes.  Individuals are enumerated up to renaming, whatever the
+    signature: their behaviors are taken as a multiset, and everything
+    else is enumerated in full over it.  Returns the first countermodel
     found, NoCountermodelWithinBounds after exhausting the bounds, or
     Timeout once the time budget runs out.
     """
@@ -669,31 +613,17 @@ def find_countermodel(
     assumptions = tuple(u.formula for u in problem.units if u.role != "conjecture")
     goal = conjecture.formula
     deadline = None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
-    profile_eligible = (
-        not sig.constants
-        and not sig.functions
-        and all(k <= 1 for k in sig.predicates.values())
-    )
     try:
         for n_worlds in range(1, bounds.max_worlds + 1):
             worlds = tuple(f"w{i}" for i in range(1, n_worlds + 1))
             for n_indiv in range(1, bounds.max_individuals + 1):
                 universe = tuple(f"d{i}" for i in range(1, n_indiv + 1))
-                search = _search_profiles if profile_eligible else _search_generic
-                found = search(worlds, universe, sig, assumptions, goal, config, deadline)
-                if found is not None:
-                    candidate, witness = found
-                    model = KripkeModel(
-                        candidate.worlds,
-                        candidate.rel,
-                        candidate.universe,
-                        candidate.dom,
-                        candidate.consts,
-                        candidate.funcs,
-                        candidate.preds,
-                    )
-                    _verify_countermodel(model, witness, assumptions, goal, config)
-                    return Countermodel(model, witness)
+                candidate = _search(worlds, universe, sig, assumptions, goal, config, deadline)
+                if candidate is not None:
+                    # rebuilt through __init__, so normalized and validated
+                    model = replace(candidate)
+                    _verify_countermodel(model, worlds[0], assumptions, goal, config)
+                    return Countermodel(model, worlds[0])
     except _Deadline:
         return Timeout()
     return NoCountermodelWithinBounds()

@@ -5,10 +5,15 @@ seed alone.  Models are generated to satisfy the domain condition they
 are asked for (including constant designation and function closure under
 varying and cumulative domains), so they can be fed straight into
 correspondence checks and the eval subcommand.
+
+brute_force_countermodel_size is the plain reference the bounded search
+is tested against: it walks every relation, domain and interpretation,
+with no rooting and no symmetry reduction.
 """
 
 import itertools
 import random
+from types import SimpleNamespace
 
 from fml2hol import fml, kripke
 from fml2hol.embedding import DomainCondition
@@ -162,3 +167,71 @@ def random_model(
             if ext:
                 preds[(name, w)] = ext
     return kripke.KripkeModel(worlds, rel, universe, dom, consts, funcs, preds)
+
+
+def all_relations(worlds):
+    """Every relation over the worlds, one per bitmask over the pairs."""
+    pairs = [(u, v) for u in worlds for v in worlds]
+    for mask in range(2 ** len(pairs)):
+        yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+
+
+def _subsets(items):
+    items = list(items)
+    return [frozenset(c) for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
+
+
+def _refutable_at(worlds, universe, sig, assumptions, goal, config) -> bool:
+    # plain namespaces: the checkers and eval_fml only read attributes
+    full = {w: frozenset(universe) for w in worlds}
+    const_choices = [
+        dict(zip(sig.constants, values))
+        for values in itertools.product(universe, repeat=len(sig.constants))
+    ]
+    func_choices = [{}]
+    for name, arity in sig.functions.items():
+        entries = [(name, args) for args in itertools.product(universe, repeat=arity)]
+        func_choices = [
+            {**funcs, **dict(zip(entries, values))}
+            for funcs in func_choices
+            for values in itertools.product(universe, repeat=len(entries))
+        ]
+    slots = [(p, w) for p in sig.predicates for w in worlds]
+    slot_choices = [
+        _subsets(itertools.product(universe, repeat=sig.predicates[p])) for p, _ in slots
+    ]
+    for rel in all_relations(worlds):
+        frame = SimpleNamespace(worlds=worlds, rel=rel, universe=universe, dom=full)
+        if not kripke.check_frame(frame, config.logic):
+            continue
+        for doms in itertools.product(_subsets(universe), repeat=len(worlds)):
+            for consts in const_choices:
+                for funcs in func_choices:
+                    model = SimpleNamespace(
+                        worlds=worlds, rel=rel, universe=universe,
+                        dom=dict(zip(worlds, doms)), consts=consts, funcs=funcs,
+                    )
+                    if not kripke.check_domains(model, config.domain):
+                        continue
+                    for exts in itertools.product(*slot_choices):
+                        model.preds = dict(zip(slots, exts))
+                        if all(
+                            kripke.eval_fml(model, w, a) for a in assumptions for w in worlds
+                        ) and not all(kripke.eval_fml(model, w, goal) for w in worlds):
+                            return True
+    return False
+
+
+def brute_force_countermodel_size(problem, config, max_worlds, max_individuals):
+    """(worlds, individuals) of the smallest model, in find_countermodel's
+    size order, that makes every assumption valid and the conjecture false
+    at some world; None if there is none within the bounds."""
+    sig = fml.validate_problem(problem)
+    assumptions = [u.formula for u in problem.units if u.role != "conjecture"]
+    goal = problem.conjecture().formula
+    for n in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(1, n + 1))
+        for m in range(1, max_individuals + 1):
+            if _refutable_at(worlds, INDIVIDUALS[:m], sig, assumptions, goal, config):
+                return n, m
+    return None

@@ -16,6 +16,7 @@ import time
 
 import helpers
 import thf_reader
+from helpers import all_relations as _relations
 from fml2hol import embedding, fml, hol, kripke, qmf, thf
 from fml2hol.cli import SzsStatus, main, run_prover
 from fml2hol.embedding import DomainCondition, Logic, TranslationConfig
@@ -203,12 +204,6 @@ def test_criterion_5_round_trips():
         if not thf_reader.problems_alpha_equal(embedded, reread):
             failures.append(f"formula {i}: thf re-read is not alpha-equivalent")
     _verdict(5, "qmf print/parse identity and thf re-read on 500 formulas", failures)
-
-
-def _relations(worlds):
-    pairs = [(u, v) for u in worlds for v in worlds]
-    for mask in range(2 ** len(pairs)):
-        yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
 
 
 def test_criterion_6_checker_agreement():

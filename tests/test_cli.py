@@ -264,6 +264,25 @@ def test_eval_frame_mismatch(tmp_path, capsys, e1_path):
     assert "not serial: w1 has no successor" in capsys.readouterr().err
 
 
+def test_eval_rejects_arity_mismatch(tmp_path, capsys, e1_path):
+    # E1's f is unary; this fixture gives it a binary extension
+    fixture = tmp_path / "binary_f.model"
+    fixture.write_text(
+        "worlds: w1 w2\nrel: w1>w2\nuniverse: a b\npred f @ w1: a,b\npred f @ w2: b,a\n",
+        encoding="utf-8",
+    )
+    code = main(["eval", e1_path, "--model", str(fixture), "-f", "thf:k:vary"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "predicate f has arity 1 in the problem but 2 in the fixture" in captured.err
+    problem = tmp_path / "g.qmf"
+    problem.write_text("qmf(con,conjecture,( p(g(c)) )).\n", encoding="utf-8")
+    fixture.write_text("worlds: w1\nuniverse: a\nconst c = a\nfun g(a,a) = a\n", encoding="utf-8")
+    assert main(["eval", str(problem), "--model", str(fixture), "-f", "thf:k:const"]) == 1
+    assert "function g has arity 1 in the problem but 2 in the fixture" in capsys.readouterr().err
+
+
 def test_eval_requires_conjecture(tmp_path, capsys):
     problem = tmp_path / "ax.qmf"
     problem.write_text("qmf(a,axiom,( p )).\n", encoding="utf-8")

@@ -1,11 +1,12 @@
 """Model invariants, both evaluators, structure checks, and bounded search."""
 
 import itertools
+import time
 
 import pytest
 
 import helpers
-from fml2hol import embedding, fml, hol, kripke, qmf
+from fml2hol import embedding, fml, hol, qmf
 from fml2hol.embedding import DomainCondition, Logic, TranslationConfig
 from fml2hol.kripke import (
     Countermodel,
@@ -310,45 +311,11 @@ def test_frame_violation_messages():
     assert "not symmetric: u>v but not v>u" in frame_violations(chain, Logic.S5)
 
 
-def _relations(worlds):
-    pairs = [(u, v) for u in worlds for v in worlds]
-    for mask in range(2 ** len(pairs)):
-        yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-
-
-def test_frame_checks_against_definitional_predicates():
-    # independent definitions of the four properties, quantifier-style
-    for n in (1, 2, 3):
-        worlds = tuple(f"w{i}" for i in range(1, n + 1))
-        dom = {w: frozenset({"a"}) for w in worlds}
-        for rel in _relations(worlds):
-            model = KripkeModel(worlds, rel, ("a",), dom)
-            serial = all(any((u, v) in rel for v in worlds) for u in worlds)
-            reflexive = all((w, w) in rel for w in worlds)
-            transitive = all(
-                (u, w) in rel
-                for u in worlds for v in worlds for w in worlds
-                if (u, v) in rel and (v, w) in rel
-            )
-            symmetric = all((v, u) in rel for u in worlds for v in worlds if (u, v) in rel)
-            expected = {
-                Logic.K: True,
-                Logic.K4: transitive,
-                Logic.D: serial,
-                Logic.D4: serial and transitive,
-                Logic.T: reflexive,
-                Logic.S4: reflexive and transitive,
-                Logic.S5: reflexive and transitive and symmetric,
-            }
-            for logic, want in expected.items():
-                assert check_frame(model, logic) == want
-
-
 def test_frame_monotonicity_chain():
     for n in (1, 2, 3):
         worlds = tuple(f"w{i}" for i in range(1, n + 1))
         dom = {w: frozenset({"a"}) for w in worlds}
-        for rel in _relations(worlds):
+        for rel in helpers.all_relations(worlds):
             model = KripkeModel(worlds, rel, ("a",), dom)
             if check_frame(model, Logic.S5):
                 assert check_frame(model, Logic.S4)
@@ -406,11 +373,51 @@ def test_domain_check_designation_and_closure():
     assert not any("dom(v)" in v for v in violations)
 
 
+def test_violation_message_order():
+    # clause by clause in docstring order, worlds and pairs in model order
+    chain = KripkeModel(
+        ("u", "v", "w"),
+        frozenset({("u", "v"), ("v", "w")}),
+        ("a",),
+        {"u": frozenset({"a"}), "v": frozenset({"a"}), "w": frozenset({"a"})},
+    )
+    assert frame_violations(chain, Logic.D4) == (
+        "not serial: w has no successor",
+        "not transitive: u>v and v>w but not u>w",
+    )
+    assert frame_violations(chain, Logic.S5) == (
+        "not reflexive: missing u>u",
+        "not reflexive: missing v>v",
+        "not reflexive: missing w>w",
+        "not transitive: u>v and v>w but not u>w",
+        "not symmetric: u>v but not v>u",
+        "not symmetric: v>w but not w>v",
+    )
+    model = KripkeModel(
+        ("w", "v"),
+        frozenset({("w", "v")}),
+        ("a", "b"),
+        {"w": frozenset({"b"}), "v": frozenset()},
+        consts={"c": "b"},
+        funcs={("g", ("a",)): "a", ("g", ("b",)): "a"},
+    )
+    assert domain_violations(model, DomainCondition.CUMULATIVE) == (
+        "non-emptiness violated: dom(v) is empty",
+        "undesignated constant: c = b is not in dom(v)",
+        "unclosed function: g(b) = a leaves dom(w)",
+        "not cumulative: b exists at w but not at v despite w>v",
+    )
+    assert domain_violations(model, DomainCondition.CONSTANT) == (
+        "not constant: dom(w) differs from the universe",
+        "not constant: dom(v) differs from the universe",
+    )
+
+
 def test_domain_checks_against_set_inclusion_oracles():
     worlds = ("w1", "w2")
     universe = ("a", "b")
     subsets = [frozenset(c) for k in range(3) for c in itertools.combinations(universe, k)]
-    for rel in _relations(worlds):
+    for rel in helpers.all_relations(worlds):
         for d1 in subsets:
             for d2 in subsets:
                 dom = {"w1": d1, "w2": d2}
@@ -510,26 +517,130 @@ def test_find_countermodel_timeout():
     assert isinstance(result, Timeout)
 
 
-def test_profile_and_generic_engines_agree():
-    r = helpers.make_rng(2211)
-    bounds = SearchBounds(2, 2)
-    for _ in range(25):
-        sig = fml.Signature({"p": 1, "q": r.randint(0, 1)}, {}, ())
-        formula = helpers.random_formula(r, sig, depth=r.randint(1, 3))
-        problem = fml.Problem((fml.AnnotatedFormula("con", "conjecture", formula),))
-        cfg = TranslationConfig(r.choice(tuple(Logic)), r.choice(tuple(DomainCondition)))
-        sig_collected = fml.validate_problem(problem)
-        assumptions = ()
-        fast = kripke._search_profiles(
-            ("w1", "w2"), ("d1", "d2"), sig_collected, assumptions, formula, cfg, None
-        )
-        slow = kripke._search_generic(
-            ("w1", "w2"), ("d1", "d2"), sig_collected, assumptions, formula, cfg, None
-        )
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            for candidate, witness in (fast, slow):
-                assert not eval_fml(candidate, witness, formula)
+def test_find_countermodel_timeout_while_filtering_frames():
+    # at five worlds, S5 keeps one of 2^25 relation masks, the last one
+    problem = qmf.parse_problem("qmf(con,conjecture,( p | ~ ( p ) )).")
+    start = time.monotonic()
+    result = find_countermodel(
+        problem, config("s5", "const"), SearchBounds(5, 1, time_budget=0.5)
+    )
+    assert isinstance(result, Timeout)
+    assert time.monotonic() - start < 5
+
+
+def test_find_countermodel_timeout_with_two_binary_functions():
+    # at three individuals each binary function has 3^9 interpretations,
+    # so their joint choices must be walked lazily, not listed up front
+    problem = qmf.parse_problem(
+        "qmf(con,conjecture,( ! [X] : ( p(f(X,X),g(X,X)) | ~ ( p(f(X,X),g(X,X)) ) ) ))."
+    )
+    start = time.monotonic()
+    result = find_countermodel(
+        problem, config("k", "const"), SearchBounds(1, 3, time_budget=0.5)
+    )
+    assert isinstance(result, Timeout)
+    assert time.monotonic() - start < 5
+
+
+# signatures small enough for brute force at 2x2 and 3x1, covering each
+# symbol kind and both sides of the individual-renaming symmetry
+DIFFERENTIAL_SIGNATURES = (
+    fml.Signature({"p": 0, "q": 1}, {}, ()),
+    fml.Signature({"p": 1, "q": 1}, {}, ()),
+    fml.Signature({"r": 2}, {}, ()),
+    fml.Signature({"p": 1}, {}, ("c",)),
+    fml.Signature({"p": 1}, {"g": 1}, ()),
+    fml.Signature({"p": 0, "r": 2}, {}, ("c",)),
+    fml.Signature({"q": 1}, {"g": 1}, ("c",)),
+    fml.Signature({"p": 0, "q": 1}, {"g": 1}, ()),
+)
+
+
+# need two worlds and two individuals (E1) or a chain of three worlds
+DIFFERENTIAL_FIXED = (
+    E1,
+    qmf.parse_problem("qmf(con,conjecture,( ( #dia : ( #dia : ( p ) ) ) => ( #dia : ( p ) ) ))."),
+)
+
+
+def differential_corpus(seed: int, count: int):
+    """Each fixed problem under all 21 configs, then seeded draws of at
+    most one axiom and an implication as conjecture."""
+    r = helpers.make_rng(seed)
+    configs = [TranslationConfig(l, d) for l, d in itertools.product(Logic, DomainCondition)]
+    for problem in DIFFERENTIAL_FIXED:
+        for cfg in configs:
+            yield problem, cfg
+    for i in range(count):
+        sig = DIFFERENTIAL_SIGNATURES[i % len(DIFFERENTIAL_SIGNATURES)]
+        yield differential_draw(r, sig), configs[i % len(configs)]
+
+
+def differential_draw(r, sig):
+    units = [
+        fml.AnnotatedFormula("ax", "axiom", helpers.random_formula(r, sig, r.randint(1, 2)))
+        for _ in range(r.randint(0, 1))
+    ]
+    goal = fml.Implies(
+        helpers.random_formula(r, sig, r.randint(1, 2)),
+        helpers.random_formula(r, sig, r.randint(1, 3)),
+    )
+    units.append(fml.AnnotatedFormula("con", "conjecture", goal))
+    return fml.Problem(tuple(units))
+
+
+def reachable_from(model, root):
+    seen, frontier = {root}, [root]
+    while frontier:
+        u = frontier.pop()
+        for a, v in model.rel:
+            if a == u and v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
+def test_search_agrees_with_brute_force():
+    for max_worlds, max_individuals in ((2, 2), (3, 1)):
+        bounds = SearchBounds(max_worlds, max_individuals)
+        sizes = set()
+        for problem, cfg in differential_corpus(2211, 84):
+            result = find_countermodel(problem, cfg, bounds)
+            expected = helpers.brute_force_countermodel_size(
+                problem, cfg, max_worlds, max_individuals
+            )
+            if expected is None:
+                assert isinstance(result, NoCountermodelWithinBounds), (problem, cfg)
+                continue
+            assert isinstance(result, Countermodel), (problem, cfg)
+            model = result.model
+            assert (len(model.worlds), len(model.universe)) == expected, (problem, cfg)
+            assert result.world == model.worlds[0]
+            assert reachable_from(model, result.world) == set(model.worlds)
+            sizes.add(expected)
+        # the corpus reaches the bounds in both directions
+        assert (max_worlds, max_individuals) in sizes and (1, 1) in sizes
+
+
+def test_search_agrees_with_brute_force_on_two_functions():
+    # the interpretations of g and h are chosen jointly and merged
+    sig = fml.Signature({"q": 1}, {"g": 1, "h": 1}, ())
+    r = helpers.make_rng(2214)
+    configs = [TranslationConfig(l, d) for l, d in itertools.product(Logic, DomainCondition)]
+    # refuted only at two individuals, where g and h can differ
+    fixed = qmf.parse_problem(
+        "qmf(con,conjecture,( ( ! [X] : ( q(g(X)) ) ) => ( ? [X] : ( q(h(X)) ) ) ))."
+    )
+    cases = [(fixed, cfg) for cfg in configs]
+    cases += [(differential_draw(r, sig), configs[i * 5 % len(configs)]) for i in range(12)]
+    for problem, cfg in cases:
+        result = find_countermodel(problem, cfg, SearchBounds(2, 2))
+        expected = helpers.brute_force_countermodel_size(problem, cfg, 2, 2)
+        if expected is None:
+            assert isinstance(result, NoCountermodelWithinBounds), (problem, cfg)
+        else:
+            assert isinstance(result, Countermodel), (problem, cfg)
+            assert (len(result.model.worlds), len(result.model.universe)) == expected
 
 
 def test_countermodels_reverify_over_fuzz():
