@@ -10,14 +10,15 @@ appropriate); non-constant domain conditions guard the quantifiers with an
 ``exists_in_world`` predicate and add domain axioms.  The output is an
 ordered unit list ready for the thf emitter: infrastructure first, then
 user signature declarations, then the user formulas wrapped in ``mvalid``.
+It carries its configuration and, per unit, the include-mode axiom file
+the unit belongs to, both set where the units are built.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 
 from . import fml, hol
 from .hol import (
@@ -122,18 +123,6 @@ class TranslationConfig:
     def guarded(self) -> bool:
         return self.domain is not DomainCondition.CONSTANT
 
-    @property
-    def rel_name(self) -> str:
-        return f"rel_{self.logic.tag}"
-
-    @property
-    def box_name(self) -> str:
-        return f"mbox_{self.logic.tag}"
-
-    @property
-    def dia_name(self) -> str:
-        return f"mdia_{self.logic.tag}"
-
 
 class EmbeddingError(Exception):
     """A user name collides with the embedding's reserved vocabulary."""
@@ -182,10 +171,18 @@ def _def(symbol: str, body: hol.Term) -> Unit:
     return Unit.definition(symbol, symbol, body)
 
 
-def connective_definitions(config: TranslationConfig) -> tuple[Unit, ...]:
-    """Declarations and definitions of the lifted vocabulary, in an order
-    where every symbol is introduced before its first use."""
+# Include-mode groups: the axiom file a generated unit goes to.  DOMAIN
+# holds what depends on the domain condition only, LOGIC what is built
+# from rel_const, box_const, dia_const or property_const; units in no group
+# (None) stay in the problem file.
+DOMAIN = "domain"
+LOGIC = "logic"
+
+
+def _grouped_connectives(config: TranslationConfig):
+    """The connective definitions as (group, unit) pairs."""
     rel = rel_const(config.logic)
+    box = box_const(config.logic)
     phi, psi = Var("Phi", PROP), Var("Psi", PROP)
     phi_ind = Var("Phi", _IND_PRED)
     w, v = Var("W", WORLD), Var("V", WORLD)
@@ -193,86 +190,66 @@ def connective_definitions(config: TranslationConfig) -> tuple[Unit, ...]:
     r = Var("R", REL_TYPE)
     u = Var("U", WORLD)
 
-    units = [Unit.type_decl(f"{rel.name}_type", rel.name, REL_TYPE)]
+    yield LOGIC, Unit.type_decl(f"{rel.name}_type", rel.name, REL_TYPE)
     if config.guarded:
-        units.append(
-            Unit.type_decl("exists_in_world_type", "exists_in_world", GUARD_TYPE)
-        )
+        yield DOMAIN, Unit.type_decl("exists_in_world_type", EXISTS_IN_WORLD.name, GUARD_TYPE)
 
-    units.append(
-        _def("mvalid", Lambda("Phi", PROP, Forall("W", WORLD, App(phi, w))))
+    yield DOMAIN, _def("mvalid", Lambda("Phi", PROP, Forall("W", WORLD, App(phi, w))))
+    yield DOMAIN, _def(
+        "mnot",
+        Lambda("Phi", PROP, Lambda("W", WORLD, Not(App(phi, w)))),
     )
-    units.append(
-        _def(
-            "mnot",
-            Lambda("Phi", PROP, Lambda("W", WORLD, Not(App(phi, w)))),
-        )
-    )
-    units.append(
-        _def(
-            "mor",
+    yield DOMAIN, _def(
+        "mor",
+        Lambda(
+            "Phi",
+            PROP,
             Lambda(
-                "Phi",
+                "Psi",
                 PROP,
-                Lambda(
-                    "Psi",
-                    PROP,
-                    Lambda("W", WORLD, Or(App(phi, w), App(psi, w))),
-                ),
+                Lambda("W", WORLD, Or(App(phi, w), App(psi, w))),
             ),
-        )
+        ),
     )
-    units.append(
-        _def(
-            "mand",
+    yield DOMAIN, _def(
+        "mand",
+        Lambda(
+            "Phi",
+            PROP,
             Lambda(
-                "Phi",
+                "Psi",
                 PROP,
-                Lambda(
-                    "Psi",
-                    PROP,
-                    apply(MNOT, apply(MOR, apply(MNOT, phi), apply(MNOT, psi))),
-                ),
+                apply(MNOT, apply(MOR, apply(MNOT, phi), apply(MNOT, psi))),
             ),
-        )
+        ),
     )
-    units.append(
-        _def(
-            "mimplies",
-            Lambda(
-                "Phi",
-                PROP,
-                Lambda("Psi", PROP, apply(MOR, apply(MNOT, phi), psi)),
-            ),
-        )
+    yield DOMAIN, _def(
+        "mimplies",
+        Lambda(
+            "Phi",
+            PROP,
+            Lambda("Psi", PROP, apply(MOR, apply(MNOT, phi), psi)),
+        ),
     )
-    units.append(
-        _def(
-            config.box_name,
+    yield LOGIC, _def(
+        box.name,
+        Lambda(
+            "Phi",
+            PROP,
             Lambda(
-                "Phi",
-                PROP,
-                Lambda(
-                    "W",
+                "W",
+                WORLD,
+                Forall(
+                    "V",
                     WORLD,
-                    Forall(
-                        "V",
-                        WORLD,
-                        Or(Not(apply(rel, w, v)), App(phi, v)),
-                    ),
+                    Or(Not(apply(rel, w, v)), App(phi, v)),
                 ),
             ),
-        )
+        ),
     )
-    units.append(
-        _def(
-            config.dia_name,
-            Lambda(
-                "Phi",
-                PROP,
-                apply(MNOT, apply(box_const(config.logic), apply(MNOT, phi))),
-            ),
-        )
+    yield LOGIC, _def(
+        dia_const(config.logic).name,
+        Lambda("Phi", PROP, apply(MNOT, apply(box, apply(MNOT, phi)))),
     )
     if config.guarded:
         forall_body = Forall(
@@ -282,27 +259,23 @@ def connective_definitions(config: TranslationConfig) -> tuple[Unit, ...]:
         )
     else:
         forall_body = Forall("X", INDIV, apply(phi_ind, x, w))
-    units.append(
-        _def(
-            "mforall_ind",
-            Lambda("Phi", _IND_PRED, Lambda("W", WORLD, forall_body)),
-        )
+    yield DOMAIN, _def(
+        "mforall_ind",
+        Lambda("Phi", _IND_PRED, Lambda("W", WORLD, forall_body)),
     )
-    units.append(
-        _def(
-            "mexists_ind",
-            Lambda(
-                "Phi",
-                _IND_PRED,
+    yield DOMAIN, _def(
+        "mexists_ind",
+        Lambda(
+            "Phi",
+            _IND_PRED,
+            apply(
+                MNOT,
                 apply(
-                    MNOT,
-                    apply(
-                        MFORALL_IND,
-                        Lambda("X", INDIV, apply(MNOT, App(phi_ind, x))),
-                    ),
+                    MFORALL_IND,
+                    Lambda("X", INDIV, apply(MNOT, App(phi_ind, x))),
                 ),
             ),
-        )
+        ),
     )
 
     property_bodies = {
@@ -347,11 +320,17 @@ def connective_definitions(config: TranslationConfig) -> tuple[Unit, ...]:
         ),
     }
     for prop in frame_properties(config.logic):
-        units.append(_def(prop.symbol, property_bodies[prop]))
-    return tuple(units)
+        yield LOGIC, _def(property_const(prop).name, property_bodies[prop])
+
+
+def connective_definitions(config: TranslationConfig) -> tuple[Unit, ...]:
+    """Declarations and definitions of the lifted vocabulary, in an order
+    where every symbol is introduced before its first use."""
+    return tuple(unit for _, unit in _grouped_connectives(config))
 
 
 def frame_axioms(config: TranslationConfig) -> tuple[Unit, ...]:
+    """The frame axioms: one per frame property, all in the LOGIC group."""
     rel = rel_const(config.logic)
     return tuple(
         Unit.formula(f"a{i}", "axiom", apply(property_const(prop), rel))
@@ -359,37 +338,44 @@ def frame_axioms(config: TranslationConfig) -> tuple[Unit, ...]:
     )
 
 
-def domain_axioms(
-    config: TranslationConfig, signature: fml.Signature
-) -> tuple[Unit, ...]:
-    """Axioms tying exists_in_world to the signature and, for cumulative
-    domains, to the accessibility relation.  Empty for constant domains."""
+def _problem_unit_names(signature: fml.Signature) -> tuple[str, dict[str, str]]:
+    """Names of the units generated per problem: the conjecture's, and the
+    designation or closure axiom's of each constant and function, keyed by
+    symbol (a symbol is never both)."""
+    return "prove", {
+        **{c: f"designation_{c}" for c in signature.constants},
+        **{f: f"closure_{f}" for f in signature.functions},
+    }
+
+
+def _grouped_domain_axioms(config: TranslationConfig, signature: fml.Signature):
+    """The domain axioms as (group, unit) pairs.  Designation and closure
+    axioms mention the problem's own symbols, so they are in no group; the
+    cumulative axiom mentions the relation, so it is in LOGIC (the domain
+    file is included first and must not look ahead)."""
     if not config.guarded:
-        return ()
+        return
     w, v = Var("W", WORLD), Var("V", WORLD)
     x = Var("X", INDIV)
-    units = [
-        Unit.formula(
-            "nonempty_ax",
+    yield DOMAIN, Unit.formula(
+        "nonempty_ax",
+        "axiom",
+        Forall(
+            "V",
+            WORLD,
+            Exists("X", INDIV, apply(EXISTS_IN_WORLD, x, v)),
+        ),
+    )
+    _, names = _problem_unit_names(signature)
+    for c in signature.constants:
+        yield None, Unit.formula(
+            names[c],
             "axiom",
             Forall(
-                "V",
+                "W",
                 WORLD,
-                Exists("X", INDIV, apply(EXISTS_IN_WORLD, x, v)),
+                apply(EXISTS_IN_WORLD, Const(c, INDIV), w),
             ),
-        )
-    ]
-    for c in signature.constants:
-        units.append(
-            Unit.formula(
-                f"designation_{c}",
-                "axiom",
-                Forall(
-                    "W",
-                    WORLD,
-                    apply(EXISTS_IN_WORLD, Const(c, INDIV), w),
-                ),
-            )
         )
     for f, arity in signature.functions.items():
         args = [Var(f"X{i}", INDIV) for i in range(1, arity + 1)]
@@ -398,37 +384,40 @@ def domain_axioms(
         body = Implies(reduce(And, guards), apply(EXISTS_IN_WORLD, image, w))
         for a in reversed(args):
             body = Forall(a.name, INDIV, body)
-        units.append(
-            Unit.formula(f"closure_{f}", "axiom", Forall("W", WORLD, body))
-        )
+        yield None, Unit.formula(names[f], "axiom", Forall("W", WORLD, body))
     if config.domain is DomainCondition.CUMULATIVE:
         rel = rel_const(config.logic)
-        units.append(
-            Unit.formula(
-                "cumulative_ax",
-                "axiom",
+        yield LOGIC, Unit.formula(
+            "cumulative_ax",
+            "axiom",
+            Forall(
+                "X",
+                INDIV,
                 Forall(
-                    "X",
-                    INDIV,
+                    "V",
+                    WORLD,
                     Forall(
-                        "V",
+                        "W",
                         WORLD,
-                        Forall(
-                            "W",
-                            WORLD,
-                            Implies(
-                                And(
-                                    apply(EXISTS_IN_WORLD, x, v),
-                                    apply(rel, v, w),
-                                ),
-                                apply(EXISTS_IN_WORLD, x, w),
+                        Implies(
+                            And(
+                                apply(EXISTS_IN_WORLD, x, v),
+                                apply(rel, v, w),
                             ),
+                            apply(EXISTS_IN_WORLD, x, w),
                         ),
                     ),
                 ),
-            )
+            ),
         )
-    return tuple(units)
+
+
+def domain_axioms(
+    config: TranslationConfig, signature: fml.Signature
+) -> tuple[Unit, ...]:
+    """Axioms tying exists_in_world to the signature and, for cumulative
+    domains, to the accessibility relation.  Empty for constant domains."""
+    return tuple(unit for _, unit in _grouped_domain_axioms(config, signature))
 
 
 def embed_term(t: fml.Term) -> hol.Term:
@@ -484,42 +473,35 @@ def embed_formula(formula: fml.Formula, config: TranslationConfig) -> hol.Term:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-_RESERVED_SYMBOL = re.compile(
-    r"(mvalid|mnot|mor|mand|mimplies|mforall_ind|mexists_ind"
-    r"|mserial|mreflexive|mtransitive|msymmetric|exists_in_world"
-    r"|mbox_\w+|mdia_\w+|rel_\w+)\Z"
-)
-_RESERVED_UNIT = re.compile(
-    r"(a[0-9]+|prove|nonempty_ax|cumulative_ax|exists_in_world_type"
-    r"|designation_\w+|closure_\w+"
-    r"|mvalid|mnot|mor|mand|mimplies|mforall_ind|mexists_ind"
-    r"|mserial|mreflexive|mtransitive|msymmetric"
-    r"|mbox_\w+|mdia_\w+|rel_\w+)\Z"
-)
+@dataclass(frozen=True)
+class EmbeddedProblem(hol.Problem):
+    """A problem as embed_problem builds it: its units, the configuration
+    they were built for, and per unit the include-mode group it was built
+    in (DOMAIN, LOGIC, or None for what stays in the problem file)."""
+
+    config: TranslationConfig
+    groups: tuple[str | None, ...]
 
 
-def infrastructure_group(unit_name: str) -> str | None:
-    """Which include-mode axiom file an embedding-generated unit goes to.
-
-    Returns 'logic' for the relation, box/diamond, frame-property, and
-    cumulative units, 'domain' for the validity/connective/quantifier
-    definitions and the non-emptiness axiom, None for user material.
-    The cumulative axiom is grouped with the logic file because it mentions
-    rel_<tag>: the domain file is included first and must not look ahead.
-    Designation and closure axioms mention per-problem user symbols, so
-    they stay with the problem rather than a shared axiom file.
-    """
-    if re.match(r"(rel_\w+|mbox_\w+|mdia_\w+"
-                r"|mserial|mreflexive|mtransitive|msymmetric"
-                r"|a[0-9]+|cumulative_ax)\Z", unit_name):
-        return "logic"
-    if re.match(r"(exists_in_world_type|mvalid|mnot|mor|mand|mimplies"
-                r"|mforall_ind|mexists_ind|nonempty_ax)\Z", unit_name):
-        return "domain"
-    return None
+@cache
+def _reserved_names() -> tuple[frozenset[str], frozenset[str]]:
+    """The symbols and the unit names the embedding generates for every
+    problem under some configuration.  They do not depend on the
+    configuration, so a problem is accepted or rejected alike under all
+    of them; built on first use, not at import."""
+    units: list[Unit] = []
+    for logic in Logic:
+        for domain in DomainCondition:
+            config = TranslationConfig(logic, domain)
+            units += connective_definitions(config) + frame_axioms(config)
+            units += domain_axioms(config, fml.Signature())
+    return (
+        frozenset(u.symbol for u in units if u.symbol is not None),
+        frozenset(u.name for u in units),
+    )
 
 
-def embed_problem(problem: fml.Problem, config: TranslationConfig) -> hol.Problem:
+def embed_problem(problem: fml.Problem, config: TranslationConfig) -> EmbeddedProblem:
     """Translate a validated problem into an ordered HOL unit list.
 
     Order: lifted vocabulary, frame axioms, user signature declarations,
@@ -529,37 +511,42 @@ def embed_problem(problem: fml.Problem, config: TranslationConfig) -> hol.Proble
     declared before use.  The conjecture is emitted under the fixed name
     'prove'; other units keep their names and roles (the 'definition'
     role becomes an axiom, since its payload is an assertion, not an
-    equation).
+    equation).  A user symbol or non-conjecture unit name that the
+    embedding generates under any configuration is rejected.
     """
     signature = fml.validate_problem(problem)
+    reserved_symbols, reserved_units = _reserved_names()
+    conjecture_name, axiom_names = _problem_unit_names(signature)
+    reserved_units = reserved_units | {conjecture_name, *axiom_names.values()}
 
     for sym in (
         list(signature.predicates)
         + list(signature.functions)
         + list(signature.constants)
     ):
-        if _RESERVED_SYMBOL.match(sym):
+        if sym in reserved_symbols:
             raise EmbeddingError(f"user symbol '{sym}' collides with a reserved name")
     for unit in problem.units:
-        if unit.role != "conjecture" and _RESERVED_UNIT.match(unit.name):
+        if unit.role != "conjecture" and unit.name in reserved_units:
             raise EmbeddingError(
                 f"unit name '{unit.name}' collides with a reserved name"
             )
 
-    units: list[Unit] = list(connective_definitions(config))
-    units.extend(frame_axioms(config))
+    grouped = list(_grouped_connectives(config))
+    grouped.extend((LOGIC, unit) for unit in frame_axioms(config))
     for p, arity in signature.predicates.items():
-        units.append(Unit.type_decl(f"{p}_type", p, pred_type(arity)))
+        grouped.append((None, Unit.type_decl(f"{p}_type", p, pred_type(arity))))
     for f, arity in signature.functions.items():
-        units.append(Unit.type_decl(f"{f}_type", f, func_type(arity)))
+        grouped.append((None, Unit.type_decl(f"{f}_type", f, func_type(arity))))
     for c in signature.constants:
-        units.append(Unit.type_decl(f"{c}_type", c, INDIV))
-    units.extend(domain_axioms(config, signature))
+        grouped.append((None, Unit.type_decl(f"{c}_type", c, INDIV)))
+    grouped.extend(_grouped_domain_axioms(config, signature))
     for unit in problem.units:
-        name = "prove" if unit.role == "conjecture" else unit.name
+        name = conjecture_name if unit.role == "conjecture" else unit.name
         kind = "axiom" if unit.role == "definition" else unit.role
         payload = apply(MVALID, embed_formula(unit.formula, config))
-        units.append(Unit.formula(name, kind, payload))
+        grouped.append((None, Unit.formula(name, kind, payload)))
+    groups, units = zip(*grouped)
 
     names = [u.name for u in units]
     duplicates = {n for n in names if names.count(n) > 1}
@@ -567,4 +554,4 @@ def embed_problem(problem: fml.Problem, config: TranslationConfig) -> hol.Proble
         raise EmbeddingError(
             "duplicate unit names after embedding: " + ", ".join(sorted(duplicates))
         )
-    return hol.Problem(tuple(units))
+    return EmbeddedProblem(units, config, groups)

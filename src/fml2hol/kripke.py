@@ -231,8 +231,8 @@ def eval_fml(model, world: str, formula: fml.Formula, assignment=None) -> bool:
     return go(world, formula, {} if assignment is None else assignment)
 
 
-_REL_TYPE = hol.fn(hol.WORLD, hol.WORLD, hol.TRUTH)
-_GUARD_TYPE = hol.fn(hol.INDIV, hol.WORLD, hol.TRUTH)
+# the relation constants of all logics, by name: a model's frame is their value
+_RELATIONS = {rel.name: rel for rel in map(embedding.rel_const, embedding.Logic)}
 _TRUTH_VALUES = (False, True)
 
 
@@ -254,9 +254,11 @@ def _curried(arity: int, finish):
 
 
 def _const_value(model, const: hol.Const):
-    if const.name == "exists_in_world" and const.type == _GUARD_TYPE:
+    # names are compared first: this runs for every constant evaluated
+    guard = embedding.EXISTS_IN_WORLD
+    if const.name == guard.name and const == guard:
         return _curried(2, lambda a: a[0] in model.dom[a[1]])
-    if const.name.startswith("rel_") and const.type == _REL_TYPE:
+    if _RELATIONS.get(const.name) == const:
         return _curried(2, lambda a: (a[0], a[1]) in model.rel)
     args, result = _peel(const.type)
     if const.type == hol.INDIV:
@@ -484,6 +486,17 @@ def _rooted(worlds, rel) -> bool:
     return len(seen) == len(worlds)
 
 
+def _listed(options, deadline) -> list:
+    """The options as a list, checking the time budget per option: a
+    ternary predicate or function at 3 individuals has 2^27 extensions or
+    3^27 tables, more than memory holds."""
+    out = []
+    for option in options:
+        _check_deadline(deadline)
+        out.append(option)
+    return out
+
+
 def _relations(worlds, logic: embedding.Logic, deadline):
     pairs = [(u, v) for u in worlds for v in worlds]
     for mask in range(2 ** len(pairs)):
@@ -526,10 +539,13 @@ def _search(worlds, universe, sig, assumptions, goal, config, deadline):
     extensions = {}  # per arity, shared by the predicates of that arity
     for k in set(sig.predicates.values()) - {1}:
         tuples = list(itertools.product(universe, repeat=k))
-        extensions[k] = [
-            frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
-            for mask in range(2 ** len(tuples))
-        ]
+        extensions[k] = _listed(
+            (
+                frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
+                for mask in range(2 ** len(tuples))
+            ),
+            deadline,
+        )
     slots = [(p, w) for p, k in sig.predicates.items() if k != 1 for w in worlds]
     slot_options = [extensions[sig.predicates[p]] for p, _ in slots]
     const_options = [
@@ -541,7 +557,7 @@ def _search(worlds, universe, sig, assumptions, goal, config, deadline):
     for name, arity in sig.functions.items():
         entries = [(name, args) for args in itertools.product(universe, repeat=arity)]
         values = itertools.product(universe, repeat=len(entries))
-        func_options.append([dict(zip(entries, v)) for v in values])
+        func_options.append(_listed((dict(zip(entries, v)) for v in values), deadline))
     for rel in _relations(worlds, config.logic, deadline):
         behaviors = _behaviors(worlds, rel, len(unary), config.domain)
         for combo in itertools.combinations_with_replacement(behaviors, len(universe)):

@@ -11,10 +11,11 @@ ASCII and deterministic; long lines wrap between tokens at a configurable
 column.
 
 Two layouts are supported.  Inline emits a single self-contained file.
-Include splits the embedding's infrastructure into a domain-condition
-axiom file and a logic axiom file (named ``<basename>_<domain>.ax`` and
-``<basename>_<logic>.ax``), referenced from the problem file by two
-``include`` lines, with the user's declarations and formulas following.
+Include splits an embedded problem's infrastructure, by the groups the
+embedding set, into a domain-condition axiom file and a logic axiom file
+(named ``<basename>_<domain>.ax`` and ``<basename>_<logic>.ax``),
+referenced from the problem file by two ``include`` lines, with the
+user's declarations and formulas following.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import posixpath
 from dataclasses import dataclass
 
 from . import hol
-from .embedding import infrastructure_group
+from .embedding import DOMAIN, LOGIC, EmbeddedProblem
 from .hol import App, Const, Exists, Forall, Lambda, Not, Var, print_type
 
 _BINDER_TOKEN = {Lambda: "^", Forall: "!", Exists: "?"}
@@ -156,53 +157,31 @@ def _render(units, width: int) -> str:
     return "\n".join(_wrap(emit_unit(u), width) for u in units) + "\n"
 
 
-def _infer_tags(problem: hol.Problem) -> tuple[str, str]:
-    logic_tag = None
-    guarded = False
-    cumulative = False
-    for unit in problem.units:
-        if unit.name.startswith("mbox_"):
-            logic_tag = unit.name[len("mbox_"):]
-        elif unit.name == "exists_in_world_type":
-            guarded = True
-        elif unit.name == "cumulative_ax":
-            cumulative = True
-    if logic_tag is None:
-        raise ValueError(
-            "include mode needs an embedding-generated problem (no mbox unit found)"
-        )
-    domain_tag = "cumul" if cumulative else ("vary" if guarded else "const")
-    return logic_tag, domain_tag
-
-
 def emit_problem(
     problem: hol.Problem, mode: EmissionMode = Inline(), width: int = 100
 ) -> EmittedOutput:
     if isinstance(mode, Inline):
         return EmittedOutput(_render(problem.units, width))
 
-    logic_tag, domain_tag = _infer_tags(problem)
-    domain_units = []
-    logic_units = []
-    user_units = []
-    for unit in problem.units:
-        group = infrastructure_group(unit.name)
-        if group == "domain":
-            domain_units.append(unit)
-        elif group == "logic":
-            logic_units.append(unit)
-        else:
-            user_units.append(unit)
+    if not isinstance(problem, EmbeddedProblem):
+        raise ValueError(
+            "include mode needs an embedded problem (from embed_problem), "
+            "which carries its configuration and unit groups"
+        )
+    split = {DOMAIN: [], LOGIC: [], None: []}
+    for unit, group in zip(problem.units, problem.groups):
+        split[group].append(unit)
 
-    domain_path = posixpath.join(mode.axiom_dir, f"{mode.basename}_{domain_tag}.ax")
-    logic_path = posixpath.join(mode.axiom_dir, f"{mode.basename}_{logic_tag}.ax")
+    config = problem.config
+    domain_path = posixpath.join(mode.axiom_dir, f"{mode.basename}_{config.domain.tag}.ax")
+    logic_path = posixpath.join(mode.axiom_dir, f"{mode.basename}_{config.logic.tag}.ax")
     header = f"include('{domain_path}').\ninclude('{logic_path}').\n"
-    body = _render(user_units, width)
+    body = _render(split[None], width)
     problem_text = header + ("\n" + body if body else "")
     return EmittedOutput(
         problem_text,
         (
-            (domain_path, _render(domain_units, width)),
-            (logic_path, _render(logic_units, width)),
+            (domain_path, _render(split[DOMAIN], width)),
+            (logic_path, _render(split[LOGIC], width)),
         ),
     )

@@ -20,7 +20,6 @@ from fml2hol.embedding import (
     embed_problem,
     frame_axioms,
     frame_properties,
-    infrastructure_group,
     parse_domain,
     parse_logic,
 )
@@ -70,9 +69,9 @@ def test_parse_logic_and_domain():
 
 def test_config_naming():
     cfg = config("d4", "cumul")
-    assert cfg.rel_name == "rel_d4"
-    assert cfg.box_name == "mbox_d4"
-    assert cfg.dia_name == "mdia_d4"
+    assert embedding.rel_const(cfg.logic).name == "rel_d4"
+    assert embedding.box_const(cfg.logic).name == "mbox_d4"
+    assert embedding.dia_const(cfg.logic).name == "mdia_d4"
     assert cfg.guarded
     assert not config("d4", "const").guarded
 
@@ -354,21 +353,46 @@ def test_infrastructure_only_grows_with_config():
     assert {renamed.get(n, n) for n in base} <= richer
 
 
-def test_infrastructure_group_classification():
-    assert infrastructure_group("rel_s5_type") == "logic"
-    assert infrastructure_group("mbox_d") == "logic"
-    assert infrastructure_group("mserial") == "logic"
-    assert infrastructure_group("a2") == "logic"
-    assert infrastructure_group("cumulative_ax") == "logic"
-    assert infrastructure_group("mvalid") == "domain"
-    assert infrastructure_group("mforall_ind") == "domain"
-    assert infrastructure_group("exists_in_world_type") == "domain"
-    assert infrastructure_group("nonempty_ax") == "domain"
-    # per-problem axioms and user units stay with the problem file
-    assert infrastructure_group("designation_c") is None
-    assert infrastructure_group("closure_g") is None
-    assert infrastructure_group("prove") is None
-    assert infrastructure_group("f_type") is None
+# uses every symbol kind, so designation and closure axioms are generated
+SIGNATURE_PROBLEM = (
+    "qmf(u1,axiom,( p(g(c)) )). {extra}qmf(con,conjecture,( ! [X] : ( p(X) ) ))."
+)
+
+
+def _generated_names(cfg):
+    """The symbols and unit names the embedding adds to SIGNATURE_PROBLEM."""
+    units = embed_problem(qmf.parse_problem(SIGNATURE_PROBLEM.format(extra="")), cfg).units
+    symbols = {u.symbol for u in units if u.symbol is not None} - {"p", "g", "c"}
+    names = {u.name for u in units} - {"p_type", "g_type", "c_type", "u1"}
+    return symbols, names
+
+
+def test_reserved_names_are_config_independent():
+    symbols, names = set(), set()
+    for cfg in ALL_CONFIGS:
+        cfg_symbols, cfg_names = _generated_names(cfg)
+        symbols |= cfg_symbols
+        names |= cfg_names
+    assert {"rel_s5", "mbox_k", "exists_in_world", "msymmetric"} <= symbols
+    assert {"a3", "cumulative_ax", "designation_c", "closure_g", "prove"} <= names
+    for cfg in ALL_CONFIGS:
+        for symbol in symbols:
+            problem = SIGNATURE_PROBLEM.format(extra=f"qmf(u2,axiom,( {symbol} )). ")
+            with pytest.raises(EmbeddingError, match=symbol):
+                embed_problem(qmf.parse_problem(problem), cfg)
+        for name in names:
+            problem = SIGNATURE_PROBLEM.format(extra=f"qmf({name},axiom,( p(c) )). ")
+            with pytest.raises(EmbeddingError, match=name):
+                embed_problem(qmf.parse_problem(problem), cfg)
+
+
+def test_names_no_config_generates_are_accepted():
+    problem = qmf.parse_problem(
+        "qmf(a4,axiom,( mbox_foo | rel_foo(c) )). qmf(designation_zz,axiom,( p(c) ))."
+        " qmf(con,conjecture,( p(c) ))."
+    )
+    for cfg in ALL_CONFIGS:
+        hol.check_problem(embed_problem(problem, cfg))
 
 
 def test_every_config_typechecks_on_random_problems():

@@ -542,6 +542,26 @@ def test_find_countermodel_timeout_with_two_binary_functions():
     assert time.monotonic() - start < 5
 
 
+@pytest.mark.parametrize(
+    "conjecture",
+    [
+        # 2^27 extensions of a ternary predicate at three individuals
+        "! [X] : ( t(X,X,X) | ~ ( t(X,X,X) ) )",
+        # 3^27 tables of a ternary function at three individuals
+        "! [X] : ( p(h(X,X,X)) | ~ ( p(h(X,X,X)) ) )",
+    ],
+    ids=["ternary-predicate", "ternary-function"],
+)
+def test_find_countermodel_timeout_while_listing_options(conjecture):
+    problem = qmf.parse_problem(f"qmf(con,conjecture,( {conjecture} )).")
+    start = time.monotonic()
+    result = find_countermodel(
+        problem, config("k", "const"), SearchBounds(1, 3, time_budget=0.5)
+    )
+    assert isinstance(result, Timeout)
+    assert time.monotonic() - start < 5
+
+
 # signatures small enough for brute force at 2x2 and 3x1, covering each
 # symbol kind and both sides of the individual-renaming symmetry
 DIFFERENTIAL_SIGNATURES = (

@@ -1,7 +1,10 @@
 """Concrete-syntax emission: parenthesization, wrapping, and file layouts."""
 
+import hashlib
+
 import pytest
 
+import helpers
 import thf_reader
 from fml2hol import embedding, hol, qmf, thf
 from fml2hol.embedding import TranslationConfig, parse_domain, parse_logic
@@ -234,7 +237,7 @@ def test_include_axiom_file_names_follow_config():
 
 def test_include_mode_requires_embedded_problem():
     bare = hol.Problem((Unit.type_decl("p_type", "p", TRUTH),))
-    with pytest.raises(ValueError, match="mbox"):
+    with pytest.raises(ValueError, match="embedded problem"):
         thf.emit_problem(bare, mode=thf.Include("ax", "x"))
 
 
@@ -253,3 +256,71 @@ def test_reread_roundtrip_all_configs():
             back = thf_reader.read_problem(text)
             assert thf_reader.problems_alpha_equal(problem, back)
             hol.check_problem(back)
+
+
+# SHA-1 of the inline and include output of E1, a 300-way conjunction and
+# ten seeded random problems, per configuration and layout: a refactoring
+# of the embedding or the emitter must leave every byte as it is
+TRANSLATION_DIGESTS = {
+    "k:const:inline": "53b41b39002d3f8df40eb633ad8050875e8d7487",
+    "k:const:include": "93e7405548c6468d767fe288a5e6036e56ac3f4c",
+    "k:vary:inline": "0f749ced33c7bf68f03bc47c582a9e53a71f4718",
+    "k:vary:include": "36d96d45c112f6e4ce81a6477fd345719be3353d",
+    "k:cumul:inline": "3a0289a4577e6eb9e2c5b6a050e83aba3a20cfef",
+    "k:cumul:include": "bfbd0fc6738f9e59ba128017fa6eee54b18b7d33",
+    "k4:const:inline": "63752f07aee45589a211f10a94b2636c0b07afd8",
+    "k4:const:include": "7f046b2f7290d9ac0b3fc84dff227da9643df04d",
+    "k4:vary:inline": "b62b23a330f0db8a981fa4b56a68c4ca16a237af",
+    "k4:vary:include": "179651046fc1e2de4966cc150de7675ee3554e40",
+    "k4:cumul:inline": "7582d141ba9acf813dbcd8254f65807a32badb72",
+    "k4:cumul:include": "140b915055cfb63138c92726e2a64e3a15a85c3a",
+    "d:const:inline": "34c852683a06d558f10372e330ba1d840258e34a",
+    "d:const:include": "24a9489f874b8775eb33e5ff6f03c3e0472abdc4",
+    "d:vary:inline": "79df2d445a2039656199780b6022fe6165ca5cf6",
+    "d:vary:include": "6ba7f227635d05eee43cf811703fad97ffc3b715",
+    "d:cumul:inline": "9f9e9633fd91cfad215c6cc005dfb5670b15aa97",
+    "d:cumul:include": "0cb50489056baa0689f3758529840744930c695b",
+    "d4:const:inline": "10f82853cb3c80fdb373d626213f7ac246e751be",
+    "d4:const:include": "d304fc464c29628d78f502d0d47bd62246727fd5",
+    "d4:vary:inline": "4c53ddb04aebaca153fb8f4a9cfeeccb8ea31034",
+    "d4:vary:include": "2886ffbd696cc50cccf98c2516517410570a04b5",
+    "d4:cumul:inline": "ae2efb4f634e09c3fc369f0685ccb9690361a7cf",
+    "d4:cumul:include": "34a61f3c48657934bd40e69714c8c62b661ae9e6",
+    "t:const:inline": "b0521e05fdfda0e4029b8239afab4b3f32b14d1f",
+    "t:const:include": "b8290ef70e5d09b5afe3b8b645cc5cf7eb465b20",
+    "t:vary:inline": "eb9f9676be4bc4fb16776abf9e64bdd76965448d",
+    "t:vary:include": "32dfb6c7882e6eb19903a5a15f2f8a319f9ff181",
+    "t:cumul:inline": "8f5d9b032de864823da6b9891b2c9a00699ee90c",
+    "t:cumul:include": "7c82e40d06acfc22d5a3c0817c0435f89dc16eaa",
+    "s4:const:inline": "87e3a0c37a71b8681499c3063c30e0b50cbc5bb4",
+    "s4:const:include": "a6d37fb64324a1064fcb27fb2573340400be8040",
+    "s4:vary:inline": "41cf2ff93f67d456eea4d59cd8935ab68c05d003",
+    "s4:vary:include": "879b25ae2c6d76c617a9df7c87225d652c8d9158",
+    "s4:cumul:inline": "6f7f190e90dbf14610e261ef3d468e6a5687f030",
+    "s4:cumul:include": "69ddd75fc49a1bc7c8e4c7f41c54049c25ce1f9f",
+    "s5:const:inline": "94e802779dffb23bb165bbf9d7be4ecef77a411f",
+    "s5:const:include": "2e7c124124641987560bd4d8a43e0bbf761b871c",
+    "s5:vary:inline": "6fd0db7821aebbb13d6ebbeca9c232b731861a66",
+    "s5:vary:include": "cb8169e3606e4eade12fd45a0b00447d745fe11e",
+    "s5:cumul:inline": "a1bcb283c2050cf31804931674b44f28c26df65e",
+    "s5:cumul:include": "eb8e154d2a9a0534d19420dfca076305f8ddd8cb",
+}
+
+
+def test_translation_digests_all_configs():
+    r = helpers.make_rng(7)
+    problems = [
+        E1,
+        qmf.parse_problem("qmf(con,conjecture,( " + " & ".join(["p"] * 300) + " )).")
+    ] + [helpers.random_problem(r) for _ in range(10)]
+    got = {}
+    for logic in embedding.Logic:
+        for domain in embedding.DomainCondition:
+            cfg = TranslationConfig(logic, domain)
+            for layout, mode in (("inline", thf.Inline()), ("include", thf.Include("ax", "p"))):
+                digest = hashlib.sha1()
+                for problem in problems:
+                    out = thf.emit_problem(embedding.embed_problem(problem, cfg), mode)
+                    digest.update(repr((out.problem_text, out.axiom_files)).encode())
+                got[f"{cfg.name}:{layout}"] = digest.hexdigest()
+    assert got == TRANSLATION_DIGESTS
