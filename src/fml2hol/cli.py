@@ -9,8 +9,9 @@ case-insensitive with canonical lowercase spelling k, k4, d, d4, t, s4,
 s5 and const, vary, cumul.
 
 Exit codes: 0 success (including "no countermodel", which is a result,
-not a failure); 1 parse or validation error; 2 I/O error; 3 search
-timeout under --strict-timeout; 4 model fixture violates the frame or
+not a failure); 1 parse or validation error, or input nested too deeply
+to process; 2 I/O error; 3 search timeout (after --time-budget, 60 s by
+default) under --strict-timeout; 4 model fixture violates the frame or
 domain condition; 64 usage error.
 """
 
@@ -234,19 +235,19 @@ def _run_eval(args, parser) -> int:
     if conjecture is None:
         print("the problem has no conjecture to evaluate", file=sys.stderr)
         return EXIT_INPUT
-    mismatches = _arity_mismatches(model, fml.collect_signature(problem))
+    mismatches = _arity_mismatches(model, problem.signature)
     if mismatches:
         for message in mismatches:
             print(message, file=sys.stderr)
         return EXIT_INPUT
     try:
-        for w in model.worlds:
-            value = kripke.eval_fml(model, w, conjecture.formula)
-            print(f"{'true' if value else 'false'} at {w}")
+        values = [kripke.eval_fml(model, w, conjecture.formula) for w in model.worlds]
         agrees = kripke.correspondence_check(model, conjecture.formula, config)
     except (kripke.UnknownSymbolError, kripke.UnboundVariableError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
+    for w, value in zip(model.worlds, values):
+        print(f"{'true' if value else 'false'} at {w}")
     print(f"correspondence {'OK' if agrees else 'FAILED'}")
     return EXIT_OK
 
@@ -292,7 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--max-individuals", type=int, default=3, help="individual bound (default 3)"
     )
-    p_check.add_argument("--time-budget", type=float, help="seconds before giving up")
+    p_check.add_argument(
+        "--time-budget",
+        type=float,
+        default=60.0,
+        help="seconds before giving up with SZS status Unknown (default 60)",
+    )
     p_check.add_argument(
         "--strict-timeout",
         action="store_true",
@@ -331,6 +337,11 @@ def main(argv=None) -> int:
         return _HANDLERS[args.subcommand](args, parser)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        # the parser, the embedding, the emitter and both evaluators
+        # recurse on formula depth; a chain too deep for them is rejected
+        print(f"{args.input}: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT
 
 

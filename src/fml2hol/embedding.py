@@ -502,7 +502,7 @@ def _reserved_names() -> tuple[frozenset[str], frozenset[str]]:
 
 
 def embed_problem(problem: fml.Problem, config: TranslationConfig) -> EmbeddedProblem:
-    """Translate a validated problem into an ordered HOL unit list.
+    """Translate a problem into an ordered HOL unit list.
 
     Order: lifted vocabulary, frame axioms, user signature declarations,
     domain axioms, user units.  Signature declarations come before the
@@ -514,7 +514,7 @@ def embed_problem(problem: fml.Problem, config: TranslationConfig) -> EmbeddedPr
     equation).  A user symbol or non-conjecture unit name that the
     embedding generates under any configuration is rejected.
     """
-    signature = fml.validate_problem(problem)
+    signature = problem.signature
     reserved_symbols, reserved_units = _reserved_names()
     conjecture_name, axiom_names = _problem_unit_names(signature)
     reserved_units = reserved_units | {conjecture_name, *axiom_names.values()}

@@ -5,7 +5,10 @@ formulas add the propositional connectives, box/diamond, and quantifiers
 over individuals.  Names follow the TPTP convention: variables start
 uppercase, predicate/function/constant names start lowercase.  The three
 symbol namespaces must stay disjoint and every symbol must be used with a
-single arity; ``collect_signature`` enforces both.
+single arity.  A ``Problem`` also has closed units and at most one
+conjecture: constructing one checks all of this in one scan of its units
+(``validate_problem``) and keeps the collected ``signature``, so an
+invalid problem cannot be built.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass, field
 
 ROLES = ("axiom", "hypothesis", "definition", "conjecture")
 
-_LOWER_WORD = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-_UPPER_WORD = re.compile(r"[A-Z][a-zA-Z0-9_]*\Z")
+_LOWER_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+_UPPER_NAME = re.compile(r"[A-Z][a-zA-Z0-9_]*\Z")
 
 
 class ProblemError(Exception):
@@ -62,7 +65,7 @@ class Variable(Term):
     name: str
 
     def __post_init__(self):
-        if not _UPPER_WORD.match(self.name):
+        if not _UPPER_NAME.match(self.name):
             raise ValueError(f"variable names start uppercase: {self.name!r}")
 
 
@@ -71,7 +74,7 @@ class Constant(Term):
     name: str
 
     def __post_init__(self):
-        if not _LOWER_WORD.match(self.name):
+        if not _LOWER_NAME.match(self.name):
             raise ValueError(f"constant names start lowercase: {self.name!r}")
 
 
@@ -82,7 +85,7 @@ class FunctionApp(Term):
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
-        if not _LOWER_WORD.match(self.name):
+        if not _LOWER_NAME.match(self.name):
             raise ValueError(f"function names start lowercase: {self.name!r}")
         if not self.args:
             raise ValueError("function applications take at least one argument")
@@ -99,7 +102,7 @@ class Atom(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
-        if not _LOWER_WORD.match(self.pred):
+        if not _LOWER_NAME.match(self.pred):
             raise ValueError(f"predicate names start lowercase: {self.pred!r}")
 
 
@@ -142,7 +145,7 @@ class Forall(Formula):
     body: Formula
 
     def __post_init__(self):
-        if not _UPPER_WORD.match(self.var):
+        if not _UPPER_NAME.match(self.var):
             raise ValueError(f"bound variable names start uppercase: {self.var!r}")
 
 
@@ -152,7 +155,7 @@ class Exists(Formula):
     body: Formula
 
     def __post_init__(self):
-        if not _UPPER_WORD.match(self.var):
+        if not _UPPER_NAME.match(self.var):
             raise ValueError(f"bound variable names start uppercase: {self.var!r}")
 
 
@@ -163,7 +166,7 @@ class AnnotatedFormula:
     formula: Formula
 
     def __post_init__(self):
-        if not _LOWER_WORD.match(self.name):
+        if not _LOWER_NAME.match(self.name):
             raise ValueError(f"unit names start lowercase: {self.name!r}")
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}, expected one of {ROLES}")
@@ -171,10 +174,15 @@ class AnnotatedFormula:
 
 @dataclass(frozen=True)
 class Problem:
+    """A well-formed problem: constructing one validates it, and its
+    ``signature`` is the result, so no consumer has to check it again."""
+
     units: tuple[AnnotatedFormula, ...]
+    signature: Signature = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "units", tuple(self.units))
+        object.__setattr__(self, "signature", validate_problem(self))
 
     def conjecture(self) -> AnnotatedFormula | None:
         for unit in self.units:
@@ -196,17 +204,21 @@ def collect_signature(problem: Problem) -> Signature:
     """Scan all units left to right and record every symbol once.
 
     Raises ArityClashError if a symbol recurs with a different arity (a
-    constant counts as arity 0) and SortClashError if a name is used both
-    in predicate and in term position.
+    constant counts as arity 0), SortClashError if a name is used both in
+    predicate and in term position, and, after a unit with a free
+    variable, FreeVariableError naming the alphabetically first one.  The
+    first unit with a defect is the one reported.
     """
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
     consts: dict[str, None] = {}
+    loose: set[str] = set()
 
-    def scan_term(t: Term):
+    def scan_term(t: Term, bound: frozenset[str]):
         if isinstance(t, Variable):
-            return
-        if isinstance(t, Constant):
+            if t.name not in bound:
+                loose.add(t.name)
+        elif isinstance(t, Constant):
             if t.name in preds:
                 raise SortClashError(t.name)
             if t.name in funcs:
@@ -221,11 +233,11 @@ def collect_signature(problem: Problem) -> Signature:
             if arity != len(t.args):
                 raise ArityClashError(t.name, arity, len(t.args))
             for a in t.args:
-                scan_term(a)
+                scan_term(a, bound)
         else:
             raise TypeError(f"not a term: {t!r}")
 
-    def scan(f: Formula):
+    def scan(f: Formula, bound: frozenset[str]):
         if isinstance(f, Atom):
             if f.pred in funcs or f.pred in consts:
                 raise SortClashError(f.pred)
@@ -233,65 +245,32 @@ def collect_signature(problem: Problem) -> Signature:
             if arity != len(f.args):
                 raise ArityClashError(f.pred, arity, len(f.args))
             for a in f.args:
-                scan_term(a)
-        elif isinstance(f, Not):
-            scan(f.body)
-        elif isinstance(f, (And, Or, Implies)):
-            scan(f.left)
-            scan(f.right)
-        elif isinstance(f, (Box, Dia)):
-            scan(f.body)
-        elif isinstance(f, (Forall, Exists)):
-            scan(f.body)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-
-    for unit in problem.units:
-        scan(unit.formula)
-    return Signature(preds, funcs, tuple(consts))
-
-
-def free_vars(formula: Formula) -> set[str]:
-    """Names of variables with a free occurrence in the formula."""
-    out: set[str] = set()
-
-    def scan_term(t: Term, bound: frozenset[str]):
-        if isinstance(t, Variable):
-            if t.name not in bound:
-                out.add(t.name)
-        elif isinstance(t, FunctionApp):
-            for a in t.args:
                 scan_term(a, bound)
-
-    def scan(f: Formula, bound: frozenset[str]):
-        if isinstance(f, Atom):
-            for a in f.args:
-                scan_term(a, bound)
-        elif isinstance(f, Not):
+        elif isinstance(f, (Not, Box, Dia)):
             scan(f.body, bound)
         elif isinstance(f, (And, Or, Implies)):
             scan(f.left, bound)
             scan(f.right, bound)
-        elif isinstance(f, (Box, Dia)):
-            scan(f.body, bound)
         elif isinstance(f, (Forall, Exists)):
             scan(f.body, bound | {f.var})
+        else:
+            raise TypeError(f"not a formula: {f!r}")
 
-    scan(formula, frozenset())
-    return out
+    for unit in problem.units:
+        scan(unit.formula, frozenset())
+        if loose:
+            raise FreeVariableError(unit.name, min(loose))
+    return Signature(preds, funcs, tuple(consts))
 
 
 def validate_problem(problem: Problem) -> Signature:
-    """Check closure, conjecture count, and signature consistency.
+    """Check the conjecture count, then closure and signature consistency
+    in one scan (``collect_signature``); returns the signature.
 
-    Returns the collected signature on success so callers do not have to
-    scan twice.
+    ``Problem`` calls this when it is constructed and keeps the result as
+    ``problem.signature``.
     """
     conjectures = [u.name for u in problem.units if u.role == "conjecture"]
     if len(conjectures) > 1:
         raise MultipleConjecturesError(tuple(conjectures))
-    for unit in problem.units:
-        loose = free_vars(unit.formula)
-        if loose:
-            raise FreeVariableError(unit.name, sorted(loose)[0])
     return collect_signature(problem)

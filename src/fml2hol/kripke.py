@@ -625,7 +625,7 @@ def find_countermodel(
     conjecture = problem.conjecture()
     if conjecture is None:
         raise NoConjectureError("the problem has no conjecture to refute")
-    sig = fml.validate_problem(problem)
+    sig = problem.signature
     assumptions = tuple(u.formula for u in problem.units if u.role != "conjecture")
     goal = conjecture.formula
     deadline = None if bounds.time_budget is None else time.monotonic() + bounds.time_budget

@@ -15,6 +15,13 @@ and ``F <= G`` as ``G => F``; neither survives into the tree, so the
 printer never emits them.  ``include`` directives and indexed modalities
 are rejected: problems are self-contained and have a single accessibility
 relation.
+
+The tokenizer is one regular expression matched along the text; a
+``ParseError`` carries the line and column of the offending token (end of
+input is placed after the last character).  ``parse_problem`` returns an
+``fml.Problem``, which validates itself when it is built, so a problem
+this module returns is closed, has at most one conjecture and carries its
+signature; ``parse_formula`` reads a bare formula without those checks.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from .fml import (
     Problem,
     Term,
     Variable,
-    validate_problem,
 )
 
 
@@ -72,67 +78,43 @@ class _Token:
         return Span(self.line, self.col, max(len(self.text), 1))
 
 
-_WORD = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
-_PUNCT = ("<=>", "<=", "=>", "(", ")", "[", "]", ",", ".", ":", "~", "&", "|", "!", "?")
+# One alternative per token class, tried in order at each position; the
+# last one takes any other character, so the matches tile the text.
+# Quoted atoms appear only in include directives, which the parser
+# rejects with a pointed message; they are lexed so that it can.
+_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]|%[^\n]*)+)"
+    r"|(?P<upper>[A-Z][a-zA-Z0-9_]*)"
+    r"|(?P<lower>[a-z][a-zA-Z0-9_]*)"
+    r"|(?P<op><=>|<=|=>|#(?:box|dia)(?![a-zA-Z0-9_])|[()\[\],.:~&|!?])"
+    r"|(?P<hash>#(?:[a-zA-Z][a-zA-Z0-9_]*)?)"
+    r"|(?P<quoted>'[^']*')"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word, start = m.lastgroup, m.group(), m.start()
+        if kind == "skip":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = text.rfind("\n", start, m.end()) + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "#":
-            m = _WORD.match(text, i + 1)
-            word = m.group(0) if m else ""
-            if word not in ("box", "dia"):
-                raise ParseError(Span(line, col), "'#box' or '#dia'", f"'#{word}'")
-            tok = "#" + word
-            tokens.append(_Token(tok, tok, line, col))
-            i += len(tok)
-            col += len(tok)
-            continue
-        if c == "'":
-            # quoted atoms appear only in include directives, which the
-            # parser rejects with a pointed message; lex them so it can
-            end = text.find("'", i + 1)
-            if end == -1:
+        col = start - line_start + 1
+        if kind == "op":
+            kind = word
+        elif kind == "hash":
+            raise ParseError(Span(line, col), "'#box' or '#dia'", f"'{word}'")
+        elif kind == "bad":
+            if word == "'":
                 raise ParseError(Span(line, col), "a closing quote", "end of input")
-            word = text[i : end + 1]
-            tokens.append(_Token("quoted", word, line, col))
-            i = end + 1
-            col += len(word)
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            m = _WORD.match(text, i)
-            if m:
-                word = m.group(0)
-                kind = "upper" if word[0].isupper() else "lower"
-                tokens.append(_Token(kind, word, line, col))
-                i += len(word)
-                col += len(word)
-            else:
-                raise ParseError(Span(line, col), "a token", repr(c))
-    tokens.append(_Token("eof", "", line, col))
+            raise ParseError(Span(line, col), "a token", repr(word))
+        tokens.append(_Token(kind, word, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -300,11 +282,9 @@ def parse_formula(text: str) -> Formula:
 
 
 def parse_problem(text: str) -> Problem:
-    """Parse a full problem and validate it (closure, arities, roles)."""
-    parser = _Parser(_tokenize(text))
-    problem = parser.problem()
-    validate_problem(problem)
-    return problem
+    """Parse a full problem; building the ``Problem`` validates it
+    (closure, conjecture count, arities) and records its signature."""
+    return _Parser(_tokenize(text)).problem()
 
 
 def print_term(t: Term) -> str:

@@ -226,7 +226,7 @@ def brute_force_countermodel_size(problem, config, max_worlds, max_individuals):
     """(worlds, individuals) of the smallest model, in find_countermodel's
     size order, that makes every assumption valid and the conjecture false
     at some world; None if there is none within the bounds."""
-    sig = fml.validate_problem(problem)
+    sig = problem.signature
     assumptions = [u.formula for u in problem.units if u.role != "conjecture"]
     goal = problem.conjecture().formula
     for n in range(1, max_worlds + 1):

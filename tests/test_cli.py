@@ -2,10 +2,11 @@
 
 import itertools
 import stat
+import sys
 
 import pytest
 
-from fml2hol import cli, kripke
+from fml2hol import cli, fml, kripke
 from fml2hol.cli import SzsStatus, main, parse_szs, run_prover
 from fml2hol.embedding import DomainCondition, Logic
 
@@ -224,6 +225,82 @@ def test_check_timeout_exit_codes(tmp_path, capsys):
     assert "search timed out" in out
     assert "% SZS status Unknown" in out
     assert main(base + ["--strict-timeout"]) == 3
+
+
+def test_check_default_time_budget(monkeypatch, capsys, e1_path):
+    seen = []
+
+    def give_up(problem, config, bounds):
+        seen.append(bounds)
+        return kripke.Timeout()
+
+    monkeypatch.setattr(kripke, "find_countermodel", give_up)
+    assert main(["check", e1_path, "-f", "thf:k:const"]) == 0
+    assert seen == [kripke.SearchBounds(3, 3, 60.0)]
+    assert "% SZS status Unknown" in capsys.readouterr().out
+    assert main(["check", e1_path, "-f", "thf:k:const", "--strict-timeout"]) == 3
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    assert "(default 60)" in capsys.readouterr().out
+
+
+def _conjunction(n):
+    return "qmf(con,conjecture,( " + " & ".join(["p"] * n) + " )).\n"
+
+
+@pytest.mark.parametrize(
+    "text, subcommand",
+    [
+        (_conjunction(600), "translate"),
+        ("qmf(con,conjecture,( " + "~ " * 3000 + "p )).\n", "translate"),
+        (_conjunction(150), "eval"),
+        ("qmf(con,conjecture,( " + "#box : " * 350 + "p )).\n", "check"),
+    ],
+    ids=["conj600-translate", "neg3000-translate", "conj150-eval", "box350-check"],
+)
+def test_deep_nesting_exits_cleanly(tmp_path, capsys, text, subcommand):
+    problem = tmp_path / "deep.qmf"
+    problem.write_text(text, encoding="utf-8")
+    fixture = tmp_path / "one.model"
+    fixture.write_text("worlds: w1\nrel: w1>w1\nuniverse: a\n", encoding="utf-8")
+    extra = {
+        "translate": ["-o", "-"],
+        "eval": ["--model", str(fixture)],
+        "check": ["--max-worlds", "1", "--max-individuals", "1"],
+    }[subcommand]
+    code = main([subcommand, str(problem), "-f", "thf:k:const", *extra])
+    assert code in (0, 1)
+    if code == 1:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{problem}: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("subcommand", ["translate", "check", "eval"])
+def test_each_problem_is_validated_once(monkeypatch, tmp_path, capsys, e1_path, subcommand):
+    calls = []
+    validate = fml.validate_problem
+
+    def counted(problem):
+        calls.append(problem)
+        return validate(problem)
+
+    # every module that binds the function, so an import by name is counted too
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("fml2hol"):
+            for name, value in list(vars(module).items()):
+                if value is validate:
+                    monkeypatch.setattr(module, name, counted)
+    fixture = tmp_path / "growing.model"
+    fixture.write_text(FIXTURE_TEXT, encoding="utf-8")
+    extra = {
+        "translate": ["-o", "-"],
+        "check": ["--max-worlds", "2", "--max-individuals", "2"],
+        "eval": ["--model", str(fixture)],
+    }[subcommand]
+    assert main([subcommand, e1_path, "-f", "thf:k:vary", *extra]) == 0
+    assert len(calls) == 1
 
 
 def test_eval_reports_per_world_values(tmp_path, capsys, e1_path):

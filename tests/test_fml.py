@@ -21,7 +21,6 @@ from fml2hol.fml import (
     SortClashError,
     Variable,
     collect_signature,
-    free_vars,
     validate_problem,
 )
 
@@ -107,22 +106,23 @@ def test_predicate_vs_term_sort_clash():
     assert exc.value.symbol == "p"
 
 
-def test_free_vars_closed_formula():
-    assert free_vars(Forall("X", Box(Atom("f", (Variable("X"),))))) == set()
-
-
-def test_free_vars_open_atom():
-    assert free_vars(Atom("f", (Variable("X"),))) == {"X"}
-
-
-def test_free_vars_partial_binding():
-    f = Forall("X", Atom("q", (Variable("X"), Variable("Y"))))
-    assert free_vars(f) == {"Y"}
-
-
-def test_free_vars_under_function():
-    f = Exists("X", Atom("p", (FunctionApp("g", (Variable("Z"),)),)))
-    assert free_vars(f) == {"Z"}
+@pytest.mark.parametrize(
+    "formula, variable",
+    [
+        (Forall("X", Box(Atom("f", (Variable("X"),)))), None),
+        (Atom("f", (Variable("X"),)), "X"),
+        (Forall("X", Atom("q", (Variable("X"), Variable("Y")))), "Y"),
+        (Exists("X", Atom("p", (FunctionApp("g", (Variable("Z"),)),))), "Z"),
+    ],
+    ids=["closed", "open-atom", "partial-binding", "under-function"],
+)
+def test_free_variable_error(formula, variable):
+    if variable is None:
+        unit_problem(formula)
+        return
+    with pytest.raises(FreeVariableError) as exc:
+        unit_problem(formula)
+    assert exc.value.variable == variable
 
 
 def test_validate_accepts_e1():
@@ -145,6 +145,29 @@ def test_validate_rejects_two_conjectures():
     with pytest.raises(MultipleConjecturesError) as exc:
         validate_problem(Problem(units))
     assert exc.value.names == ("c1", "c2")
+
+
+def test_first_defective_unit_is_reported():
+    # a clash in the second unit comes before a free variable in the third
+    units = (
+        AnnotatedFormula("u1", "axiom", Atom("p", (Constant("a"),))),
+        AnnotatedFormula("u2", "axiom", Atom("p")),
+        AnnotatedFormula("u3", "axiom", Atom("q", (Variable("X"),))),
+    )
+    with pytest.raises(ArityClashError):
+        Problem(units)
+    with pytest.raises(FreeVariableError) as exc:
+        Problem(units[2:] + units[:2])
+    assert exc.value.unit == "u3"
+
+
+def test_problem_carries_its_signature():
+    problem = unit_problem(E1_BODY, "conjecture")
+    assert problem.signature == validate_problem(problem)
+    assert problem.signature.predicates == {"f": 1}
+    assert problem == unit_problem(E1_BODY, "conjecture")
+    assert hash(problem) == hash(unit_problem(E1_BODY, "conjecture"))
+    assert "signature" not in repr(problem)
 
 
 def test_conjecture_accessor():

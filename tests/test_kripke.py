@@ -413,30 +413,6 @@ def test_violation_message_order():
     )
 
 
-def test_domain_checks_against_set_inclusion_oracles():
-    worlds = ("w1", "w2")
-    universe = ("a", "b")
-    subsets = [frozenset(c) for k in range(3) for c in itertools.combinations(universe, k)]
-    for rel in helpers.all_relations(worlds):
-        for d1 in subsets:
-            for d2 in subsets:
-                dom = {"w1": d1, "w2": d2}
-                model = KripkeModel(worlds, rel, universe, dom)
-                full = frozenset(universe)
-                assert check_domains(model, DomainCondition.CONSTANT) == (
-                    d1 == full and d2 == full
-                )
-                assert check_domains(model, DomainCondition.VARYING) == (
-                    bool(d1) and bool(d2)
-                )
-                cumulative = (
-                    bool(d1)
-                    and bool(d2)
-                    and all(dom[u] <= dom[v] for u, v in rel)
-                )
-                assert check_domains(model, DomainCondition.CUMULATIVE) == cumulative
-
-
 def test_search_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(0, 1)

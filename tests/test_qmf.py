@@ -158,6 +158,50 @@ def test_error_position_second_line():
     assert exc.value.expected == "','"
 
 
+P, Q = Atom("p"), Atom("q")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # (line, col, length), expected, found for a ParseError; else the tree
+        ("#", ((1, 1, 1), "'#box' or '#dia'", "'#'")),
+        ("#1x", ((1, 1, 1), "'#box' or '#dia'", "'#'")),
+        ("#sq : p", ((1, 1, 1), "'#box' or '#dia'", "'#sq'")),
+        ("#boxy : p", ((1, 1, 1), "'#box' or '#dia'", "'#boxy'")),
+        ("#box : #dia : p", Box(Dia(P))),
+        ("#box(1) : p", ((1, 6, 1), "a token", "'1'")),
+        ("include('axioms.ax", ((1, 9, 1), "a closing quote", "end of input")),
+        ("qmf(a,axiom,'p').", ((1, 13, 3), "a formula", "''p''")),
+        ("p<=>q", And(Implies(P, Q), Implies(Q, P))),
+        ("p<=q", Implies(Q, P)),
+        ("p=>q", Implies(P, Q)),
+        ("p<==>q", ((1, 4, 2), "a formula", "'=>'")),
+        ("p=><=q", ((1, 4, 2), "a formula", "'<='")),
+        ("p<=>=>q", ((1, 5, 2), "a formula", "'=>'")),
+        ("p = q", ((1, 3, 1), "a token", "'='")),
+        ("p\t&\tq", And(P, Q)),
+        ("p\t&\t$", ((1, 5, 1), "a token", "'$'")),
+        ("qmf(a,axiom,p).\r\nqmf(b,axiom,$).", ((2, 13, 1), "a token", "'$'")),
+        ("qmf(a,axiom,p).\r\nqmf(b,axiom,q)", ((2, 15, 1), "'.'", "end of input")),
+        # end of input after a trailing comment is the end of its line
+        ("qmf(a,axiom,p) % no dot", ((1, 24, 1), "'.'", "end of input")),
+        ("qmf(a,axiom,p) % no dot\n", ((2, 1, 1), "'.'", "end of input")),
+        ("qmf(a,axiom,p). %c\nqmf(b,axiom,1).", ((2, 13, 1), "a token", "'1'")),
+        ("p(a,X_1) | q", Or(Atom("p", (Constant("a"), Variable("X_1"))), Q)),
+    ],
+)
+def test_tokenizer_edge_cases(text, expected):
+    read = qmf.parse_problem if text.startswith(("qmf", "include")) else parse
+    if isinstance(expected, fml.Formula):
+        assert read(text) == expected
+        return
+    with pytest.raises(qmf.ParseError) as exc:
+        read(text)
+    span = exc.value.span
+    assert ((span.line, span.col, span.length), exc.value.expected, exc.value.found) == expected
+
+
 def test_parse_formula_rejects_trailing_input():
     with pytest.raises(qmf.ParseError):
         parse("p q")
