@@ -31,6 +31,7 @@ from .kripke import (
     eval_fml,
     eval_hol,
     find_countermodel,
+    label_fml,
     parse_model,
     print_model,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "eval_fml",
     "eval_hol",
     "find_countermodel",
+    "label_fml",
     "parse_model",
     "print_model",
     "parse_formula",

@@ -213,6 +213,21 @@ def _arity_mismatches(model: kripke.KripkeModel, sig: fml.Signature) -> list[str
     ]
 
 
+def _uninterpreted(model: kripke.KripkeModel, sig: fml.Signature) -> list[str]:
+    """Constants and functions of the problem that the fixture leaves out;
+    the labelling evaluator reaches every term, so each would raise."""
+    functions = {name for name, _ in model.funcs}
+    return [
+        f"{kind} '{name}' of the problem has no interpretation in the fixture"
+        for kind, names, given in (
+            ("constant", sig.constants, model.consts),
+            ("function", sig.functions, functions),
+        )
+        for name in names
+        if name not in given
+    ]
+
+
 def _run_eval(args, parser) -> int:
     config = _config_from_args(args, parser)
     problem = _parse_input(args.input)
@@ -235,19 +250,17 @@ def _run_eval(args, parser) -> int:
     if conjecture is None:
         print("the problem has no conjecture to evaluate", file=sys.stderr)
         return EXIT_INPUT
-    mismatches = _arity_mismatches(model, problem.signature)
+    mismatches = _arity_mismatches(model, problem.signature) + _uninterpreted(
+        model, problem.signature
+    )
     if mismatches:
         for message in mismatches:
             print(message, file=sys.stderr)
         return EXIT_INPUT
-    try:
-        values = [kripke.eval_fml(model, w, conjecture.formula) for w in model.worlds]
-        agrees = kripke.correspondence_check(model, conjecture.formula, config)
-    except (kripke.UnknownSymbolError, kripke.UnboundVariableError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    for w, value in zip(model.worlds, values):
-        print(f"{'true' if value else 'false'} at {w}")
+    truth = kripke.label_fml(model, conjecture.formula)
+    agrees = kripke.correspondence_check(model, conjecture.formula, config)
+    for i, w in enumerate(model.worlds):
+        print(f"{'true' if truth >> i & 1 else 'false'} at {w}")
     print(f"correspondence {'OK' if agrees else 'FAILED'}")
     return EXIT_OK
 

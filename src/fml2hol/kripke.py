@@ -5,8 +5,16 @@ universe of individuals, a per-world existence domain, rigid constant and
 function interpretations, and world-relative predicate extensions.  On top
 of that this module provides
 
-- eval_fml: standard modal truth at a world (quantifiers range over the
-  world's domain, boxes over accessible worlds),
+- label_fml: the set of worlds where a formula holds, as an int bitmask
+  (bit i is worlds[i]), by bottom-up labelling as in model checking
+  (Clarke, Emerson & Sistla, TOPLAS 1986): each formula is compiled once
+  into a labeller, connectives become &, | and complement against the
+  full mask, boxes and diamonds lookups in per-relation tables over
+  world sets, and quantifiers folds over the universe masked by each
+  individual's existence worlds (quantifiers range over the world's
+  domain, boxes over accessible worlds),
+- eval_fml: truth at one world, that world's bit of label_fml; the
+  search, its re-verification and correspondence_check label directly,
 - eval_hol: full finite-domain evaluation of embedded HOL terms, so both
   readings of a formula can be compared on the same model,
 - check_frame / check_domains and their violation-listing variants,
@@ -25,7 +33,9 @@ submodel generated by w, which keeps the frame and domain conditions and
 every truth value at w.  Individuals are enumerated up to renaming,
 whatever the signature.  Frame and domain conditions each have one
 definition, the violation generators behind frame_violations and
-domain_violations, which the search calls as filters.
+domain_violations, which the search calls as filters.  A search
+candidate is a fill of a labeller's model view, never a KripkeModel:
+only the winner is built as one, and it is re-verified.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from __future__ import annotations
 import itertools
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import embedding, fml, hol
 from .embedding import DomainCondition, FrameProperty, TranslationConfig, frame_properties
@@ -102,17 +112,6 @@ class KripkeModel:
         )
         self._validate()
 
-    @classmethod
-    def _unchecked(cls, worlds, rel, universe, dom, consts, funcs, preds) -> KripkeModel:
-        """Skip normalization and validation, for the many candidates of a
-        search; the winner is rebuilt through __init__ before it is returned."""
-        model = object.__new__(cls)
-        model.__dict__.update(
-            worlds=worlds, rel=rel, universe=universe, dom=dom,
-            consts=consts, funcs=funcs, preds=preds,
-        )
-        return model
-
     def _validate(self):
         if not self.worlds:
             raise ModelError("a model needs at least one world")
@@ -169,66 +168,211 @@ class KripkeModel:
                     raise ModelError(f"predicate {name} holds of unknown individuals")
 
 
-def _eval_term(model, term: fml.Term, assignment) -> str:
-    if isinstance(term, fml.Variable):
-        try:
-            return assignment[term.name]
-        except KeyError:
-            raise UnboundVariableError(term.name) from None
-    if isinstance(term, fml.Constant):
-        try:
-            return model.consts[term.name]
-        except KeyError:
-            raise UnknownSymbolError(term.name) from None
-    if isinstance(term, fml.FunctionApp):
-        args = tuple(_eval_term(model, a, assignment) for a in term.args)
-        try:
-            return model.funcs[(term.name, args)]
-        except KeyError:
-            raise UnknownSymbolError(term.name) from None
-    raise TypeError(f"not a term: {term!r}")
+_UNBOUND = object()
+
+
+class _Image(dict):
+    """A modal table over world masks: the worlds whose successor mask
+    passes a test against the set.  A model of n worlds has 2^n sets, so
+    each entry is computed on first use and kept."""
+
+    def __init__(self, successors: list[int], passes):
+        super().__init__()
+        self.successors = successors
+        self.passes = passes
+
+    def __missing__(self, s: int) -> int:
+        mask = 0
+        for i, succ in enumerate(self.successors):
+            if self.passes(succ, s):
+                mask |= 1 << i
+        self[s] = mask
+        return mask
+
+
+class _View:
+    """What a labeller reads of a model.  A set of worlds is an int mask,
+    bit i standing for worlds[i]: full holds every world, box[S] and dia[S]
+    the worlds whose successors all lie in S or meet S, exists[x] the
+    worlds where x exists, atoms[(pred, *args)] the worlds where the atom
+    holds (no entry: nowhere); consts and funcs denote rigidly.  The search
+    keeps one view per frame and swaps the other fields per candidate."""
+
+    def __init__(self, successors: list[int], exists=None, atoms=None, consts=None, funcs=None):
+        self.full = (1 << len(successors)) - 1
+        self.box = _Image(successors, lambda succ, s: not succ & ~s)
+        self.dia = _Image(successors, lambda succ, s: succ & s)
+        self.exists = exists
+        self.atoms = atoms
+        self.consts = consts
+        self.funcs = funcs
+
+
+def _successors(worlds, rel) -> list[int]:
+    index = {w: i for i, w in enumerate(worlds)}
+    succ = [0] * len(worlds)
+    for u, v in rel:
+        succ[index[u]] |= 1 << index[v]
+    return succ
+
+
+def _existence(model) -> dict[str, int]:
+    """The worlds where each individual exists, in universe order."""
+    exists = dict.fromkeys(model.universe, 0)
+    for i, w in enumerate(model.worlds):
+        for x in model.dom[w]:
+            exists[x] |= 1 << i
+    return exists
+
+
+def _model_view(model) -> _View:
+    index = {w: i for i, w in enumerate(model.worlds)}
+    atoms: dict[tuple[str, ...], int] = {}
+    for (pred, w), ext in model.preds.items():
+        for args in ext:
+            atoms[(pred, *args)] = atoms.get((pred, *args), 0) | 1 << index[w]
+    return _View(
+        _successors(model.worlds, model.rel), _existence(model), atoms, model.consts, model.funcs
+    )
+
+
+def _labeller(formula: fml.Formula):
+    """Compile a formula once into label(view, assignment=None), the mask
+    of the worlds where it holds: bottom-up labelling, each subformula
+    labelled over all worlds at once.
+
+    Variables live in the slots of one list, each quantifier with a slot
+    of its own and each free variable with one filled from the assignment.
+    Nothing short-circuits: every atom is evaluated under every binding of
+    the variables above it, so an uninterpreted symbol or a variable
+    without a value raises wherever it occurs.
+    """
+    free: dict[str, int] = {}
+    slots = itertools.count()
+
+    def variable(name: str, scope):
+        if name in scope:
+            slot = scope[name]
+            return lambda v, env: env[slot]
+        if name not in free:
+            free[name] = next(slots)
+        slot = free[name]
+
+        def read(v, env):
+            x = env[slot]
+            if x is _UNBOUND:
+                raise UnboundVariableError(name)
+            return x
+
+        return read
+
+    def term(t: fml.Term, scope):
+        if isinstance(t, fml.Variable):
+            return variable(t.name, scope)
+        name = t.name
+        if isinstance(t, fml.Constant):
+
+            def constant(v, env):
+                try:
+                    return v.consts[name]
+                except KeyError:
+                    raise UnknownSymbolError(name) from None
+
+            return constant
+        if isinstance(t, fml.FunctionApp):
+            args = [term(a, scope) for a in t.args]
+
+            def apply(v, env):
+                try:
+                    return v.funcs[(name, tuple(a(v, env) for a in args))]
+                except KeyError:
+                    raise UnknownSymbolError(name) from None
+
+            return apply
+        raise TypeError(f"not a term: {t!r}")
+
+    def compile(f: fml.Formula, scope):
+        if isinstance(f, fml.Atom):
+            pred = f.pred
+            if (
+                len(f.args) == 1
+                and isinstance(f.args[0], fml.Variable)
+                and f.args[0].name in scope
+            ):
+                # a unary atom over a bound variable: one direct lookup
+                slot = scope[f.args[0].name]
+                return lambda v, env: v.atoms.get((pred, env[slot]), 0)
+            args = [term(a, scope) for a in f.args]
+            return lambda v, env: v.atoms.get((pred, *[a(v, env) for a in args]), 0)
+        if isinstance(f, fml.Not):
+            body = compile(f.body, scope)
+            return lambda v, env: v.full ^ body(v, env)
+        if isinstance(f, (fml.And, fml.Or, fml.Implies)):
+            left, right = compile(f.left, scope), compile(f.right, scope)
+            if isinstance(f, fml.And):
+                return lambda v, env: left(v, env) & right(v, env)
+            if isinstance(f, fml.Or):
+                return lambda v, env: left(v, env) | right(v, env)
+            return lambda v, env: (v.full ^ left(v, env)) | right(v, env)
+        if isinstance(f, fml.Box):
+            body = compile(f.body, scope)
+            return lambda v, env: v.box[body(v, env)]
+        if isinstance(f, fml.Dia):
+            body = compile(f.body, scope)
+            return lambda v, env: v.dia[body(v, env)]
+        if isinstance(f, (fml.Forall, fml.Exists)):
+            slot = next(slots)
+            body = compile(f.body, {**scope, f.var: slot})
+            if isinstance(f, fml.Forall):
+
+                def forall(v, env):
+                    full = v.full
+                    out = full
+                    for x, there in v.exists.items():
+                        env[slot] = x
+                        out &= body(v, env) | (full ^ there)
+                    return out
+
+                return forall
+
+            def exists(v, env):
+                out = 0
+                for x, there in v.exists.items():
+                    env[slot] = x
+                    out |= body(v, env) & there
+                return out
+
+            return exists
+        raise TypeError(f"not a formula: {f!r}")
+
+    root = compile(formula, {})
+    size = next(slots)
+
+    def label(view: _View, assignment=None) -> int:
+        env = [_UNBOUND] * size
+        if assignment:
+            for name, slot in free.items():
+                env[slot] = assignment.get(name, _UNBOUND)
+        return root(view, env)
+
+    return label
+
+
+def label_fml(model, formula: fml.Formula, assignment=None) -> int:
+    """The worlds where a formula holds under an assignment of its free
+    variables, as a mask: bit i stands for model.worlds[i].
+
+    Boxes quantify over accessible worlds, individual quantifiers over the
+    domain of each world; atoms are evaluated over the full universe.
+    Every atom is evaluated, so an uninterpreted symbol or an unassigned
+    variable raises even where its value could not matter.
+    """
+    return _labeller(formula)(_model_view(model), assignment)
 
 
 def eval_fml(model, world: str, formula: fml.Formula, assignment=None) -> bool:
-    """Truth of a formula at a world under an assignment of free variables.
-
-    Boxes quantify over accessible worlds, individual quantifiers over
-    dom(w) of the world of evaluation; atoms are evaluated over the full
-    universe.
-    """
-    succ: dict[str, list[str]] = {w: [] for w in model.worlds}
-    for u, v in model.rel:
-        succ[u].append(v)
-
-    def go(w: str, f: fml.Formula, a) -> bool:
-        if isinstance(f, fml.Atom):
-            args = tuple(_eval_term(model, t, a) for t in f.args)
-            return args in model.preds.get((f.pred, w), _EMPTY)
-        if isinstance(f, fml.Not):
-            return not go(w, f.body, a)
-        if isinstance(f, fml.And):
-            return go(w, f.left, a) and go(w, f.right, a)
-        if isinstance(f, fml.Or):
-            return go(w, f.left, a) or go(w, f.right, a)
-        if isinstance(f, fml.Implies):
-            return not go(w, f.left, a) or go(w, f.right, a)
-        if isinstance(f, fml.Box):
-            return all(go(v, f.body, a) for v in succ[w])
-        if isinstance(f, fml.Dia):
-            return any(go(v, f.body, a) for v in succ[w])
-        if isinstance(f, fml.Forall):
-            members = model.dom[w]
-            return all(
-                go(w, f.body, {**a, f.var: x}) for x in model.universe if x in members
-            )
-        if isinstance(f, fml.Exists):
-            members = model.dom[w]
-            return any(
-                go(w, f.body, {**a, f.var: x}) for x in model.universe if x in members
-            )
-        raise TypeError(f"not a formula: {f!r}")
-
-    return go(world, formula, {} if assignment is None else assignment)
+    """Truth of a formula at one world: that world's bit of label_fml."""
+    return bool(label_fml(model, formula, assignment) >> model.worlds.index(world) & 1)
 
 
 # the relation constants of all logics, by name: a model's frame is their value
@@ -383,20 +527,27 @@ def _existence_faults(worlds, rel, universe, dom, domain: DomainCondition):
                 yield f"not cumulative: {missing[0]} exists at {u} but not at {v} despite {u}>{v}"
 
 
-def _interpretation_faults(worlds, dom, consts, funcs):
-    """The non-emptiness, designation and closure clauses."""
-    for w in worlds:
-        if not dom[w]:
+def _interpretation_faults(worlds, exists, consts, funcs):
+    """The non-emptiness, designation and closure clauses, given the worlds
+    where each individual exists (bit i of a mask is worlds[i])."""
+    somebody = 0
+    for there in exists.values():
+        somebody |= there
+    for i, w in enumerate(worlds):
+        if not somebody >> i & 1:
             yield f"non-emptiness violated: dom({w}) is empty"
     for name in sorted(consts):
         val = consts[name]
-        for w in worlds:
-            if val not in dom[w]:
+        for i, w in enumerate(worlds):
+            if not exists[val] >> i & 1:
                 yield f"undesignated constant: {name} = {val} is not in dom({w})"
     for name, args in sorted(funcs):
         val = funcs[(name, args)]
-        for w in worlds:
-            if val not in dom[w] and all(a in dom[w] for a in args):
+        inside = (1 << len(worlds)) - 1
+        for a in args:
+            inside &= exists[a]
+        for i, w in enumerate(worlds):
+            if inside >> i & 1 and not exists[val] >> i & 1:
                 yield f"unclosed function: {name}({','.join(args)}) = {val} leaves dom({w})"
 
 
@@ -411,7 +562,9 @@ def domain_violations(model, domain: DomainCondition) -> tuple[str, ...]:
     existence = _existence_faults(model.worlds, model.rel, model.universe, model.dom, domain)
     if domain is DomainCondition.CONSTANT:
         return tuple(existence)
-    interpretation = _interpretation_faults(model.worlds, model.dom, model.consts, model.funcs)
+    interpretation = _interpretation_faults(
+        model.worlds, _existence(model), model.consts, model.funcs
+    )
     return (*interpretation, *existence)
 
 
@@ -424,12 +577,13 @@ def correspondence_check(model, formula: fml.Formula, config: TranslationConfig)
 
     The formula must be closed.  Its embedding is expanded to a
     definition-free beta-normal term of type $i > $o and evaluated over
-    the model; the result must equal eval_fml world by world.
+    the model; the result must equal label_fml world by world.
     """
     infrastructure = hol.Problem(embedding.connective_definitions(config))
     expanded = hol.expand_definitions(infrastructure, embedding.embed_formula(formula, config))
     lifted = eval_hol(model, expanded)
-    return all(eval_fml(model, w, formula) == lifted(w) for w in model.worlds)
+    truth = label_fml(model, formula)
+    return all(bool(truth >> i & 1) == lifted(w) for i, w in enumerate(model.worlds))
 
 
 @dataclass(frozen=True)
@@ -488,8 +642,8 @@ def _rooted(worlds, rel) -> bool:
 
 def _listed(options, deadline) -> list:
     """The options as a list, checking the time budget per option: a
-    ternary predicate or function at 3 individuals has 2^27 extensions or
-    3^27 tables, more than memory holds."""
+    ternary function at 3 individuals has 3^27 tables, more than memory
+    holds."""
     out = []
     for option in options:
         _check_deadline(deadline)
@@ -497,105 +651,126 @@ def _listed(options, deadline) -> list:
     return out
 
 
-def _relations(worlds, logic: embedding.Logic, deadline):
-    pairs = [(u, v) for u in worlds for v in worlds]
-    for mask in range(2 ** len(pairs)):
+def _relation(worlds, mask: int) -> frozenset:
+    """The relation that a mask over all pairs of worlds stands for."""
+    pairs = itertools.product(worlds, repeat=2)
+    return frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+
+
+def _relations(worlds, logic: embedding.Logic, deadline) -> list[int]:
+    """The masks of the relations rooted at worlds[0] that meet the frame
+    conditions.  Masks are kept instead of the relations: at 4 worlds K
+    keeps 38,912, which as frozensets would take about 28 MB."""
+    out = []
+    for mask in range(2 ** (len(worlds) ** 2)):
         # most masks are filtered out, so the budget is checked per mask
         _check_deadline(deadline)
-        rel = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+        rel = _relation(worlds, mask)
         if _rooted(worlds, rel) and next(_frame_faults(worlds, rel, logic), None) is None:
-            yield rel
-
-
-def _refutes(model, assumptions, goal) -> bool:
-    """Is the goal false at the first world while every assumption is valid?"""
-    if eval_fml(model, model.worlds[0], goal):
-        return False
-    return all(eval_fml(model, w, a) for a in assumptions for w in model.worlds)
+            out.append(mask)
+    return out
 
 
 def _behaviors(worlds, rel, unary_count, domain):
-    """Per-individual behavior: for each world, an existence bit plus one
-    membership bit per unary predicate, for every existence vector that
-    meets the constant and cumulative clauses on its own.  Enumeration
-    order is fixed, so combinations_with_replacement over it takes the
-    individuals in one canonical order; as the search then enumerates
-    constants, functions and the other predicates in full, every model
-    has an isomorphic copy among its candidates."""
+    """Per-individual behavior: the worlds where it exists and, per unary
+    predicate, the worlds where it has the predicate, for every existence
+    vector that meets the constant and cumulative clauses on its own.
+    Enumeration order is fixed, so combinations_with_replacement over it
+    takes the individuals in one canonical order; as the search then
+    enumerates constants, functions and the other predicates in full,
+    every model has an isomorphic copy among its candidates."""
     bit_options = list(itertools.product(_TRUTH_VALUES, repeat=unary_count))
     lone = ("d1",)
     out = []
     for exists in itertools.product(_TRUTH_VALUES, repeat=len(worlds)):
         dom = {w: frozenset(lone) if e else _EMPTY for w, e in zip(worlds, exists)}
         if next(_existence_faults(worlds, rel, lone, dom, domain), None) is None:
-            out.extend(itertools.product(*([(e, b) for b in bit_options] for e in exists)))
+            there = sum(e << i for i, e in enumerate(exists))
+            for bits in itertools.product(bit_options, repeat=len(worlds)):
+                masks = tuple(
+                    sum(b[k] << i for i, b in enumerate(bits)) for k in range(unary_count)
+                )
+                out.append((there, masks))
     return out
 
 
-def _search(worlds, universe, sig, assumptions, goal, config, deadline):
-    """First model over these worlds and individuals, rooted at worlds[0],
-    that refutes the goal there; None if there is none."""
+def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
+    """First model over these worlds and individuals, on one of the frames
+    (each rooted at worlds[0]), that refutes the goal there; None if there
+    is none.  The goal and the assumptions are labellers: one candidate is
+    one fill of a view, and only the winner becomes a KripkeModel."""
     unary = [p for p, k in sig.predicates.items() if k == 1]
-    extensions = {}  # per arity, shared by the predicates of that arity
-    for k in set(sig.predicates.values()) - {1}:
-        tuples = list(itertools.product(universe, repeat=k))
-        extensions[k] = _listed(
-            (
-                frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
-                for mask in range(2 ** len(tuples))
-            ),
-            deadline,
-        )
-    slots = [(p, w) for p, k in sig.predicates.items() if k != 1 for w in worlds]
-    slot_options = [extensions[sig.predicates[p]] for p, _ in slots]
+    unary_keys = [(p, x) for p in unary for x in universe]
+    # each other predicate takes one world mask per tuple of arguments
+    slots = [
+        (p, *args)
+        for p, k in sig.predicates.items()
+        if k != 1
+        for args in itertools.product(universe, repeat=k)
+    ]
+    world_sets = range(2 ** len(worlds))
     const_options = [
         dict(zip(sig.constants, values))
         for values in itertools.product(universe, repeat=len(sig.constants))
     ]
-    # one option list per function; their product is walked lazily below
+    # one option list per function, of (entry, value) pairs; their product
+    # with the constants is walked lazily below
     func_options = []
     for name, arity in sig.functions.items():
         entries = [(name, args) for args in itertools.product(universe, repeat=arity)]
         values = itertools.product(universe, repeat=len(entries))
-        func_options.append(_listed((dict(zip(entries, v)) for v in values), deadline))
-    for rel in _relations(worlds, config.logic, deadline):
-        behaviors = _behaviors(worlds, rel, len(unary), config.domain)
-        for combo in itertools.combinations_with_replacement(behaviors, len(universe)):
+        func_options.append(_listed((tuple(zip(entries, v)) for v in values), deadline))
+    # under constant domains only the existence clause applies, as in
+    # domain_violations: every individual exists everywhere
+    interpreted = domain is not DomainCondition.CONSTANT
+    for mask in frames:
+        rel = _relation(worlds, mask)
+        view = _View(_successors(worlds, rel))
+        behaviors = _behaviors(worlds, rel, len(unary), domain)
+        for consts, *parts in itertools.product(const_options, *func_options):
             _check_deadline(deadline)
-            dom = {
-                w: frozenset(x for x, b in zip(universe, combo) if b[i][0])
-                for i, w in enumerate(worlds)
-            }
-            base_preds = {}
-            for pi, p in enumerate(unary):
-                for i, w in enumerate(worlds):
-                    ext = frozenset((x,) for x, b in zip(universe, combo) if b[i][1][pi])
-                    if ext:
-                        base_preds[(p, w)] = ext
-            for consts in const_options:
-                for parts in itertools.product(*func_options):
+            funcs = dict(itertools.chain(*parts))
+            view.consts, view.funcs = consts, funcs
+            for combo in itertools.combinations_with_replacement(behaviors, len(universe)):
+                _check_deadline(deadline)
+                view.exists = exists = dict(zip(universe, [b[0] for b in combo]))
+                if interpreted and next(
+                    _interpretation_faults(worlds, exists, consts, funcs), None
+                ) is not None:
+                    continue
+                view.atoms = atoms = dict(
+                    zip(unary_keys, [b[1][k] for k in range(len(unary)) for b in combo])
+                )
+                for fill in itertools.product(world_sets, repeat=len(slots)):
                     _check_deadline(deadline)
-                    funcs = {k: v for part in parts for k, v in part.items()}
-                    if next(_interpretation_faults(worlds, dom, consts, funcs), None) is not None:
-                        continue
-                    for exts in itertools.product(*slot_options):
-                        _check_deadline(deadline)
-                        preds = dict(base_preds)
-                        preds.update((slot, ext) for slot, ext in zip(slots, exts) if ext)
-                        candidate = KripkeModel._unchecked(
-                            worlds, rel, universe, dom, consts, funcs, preds
-                        )
-                        if _refutes(candidate, assumptions, goal):
-                            return candidate
+                    atoms.update(zip(slots, fill))
+                    if not goal(view) & 1 and all(a(view) == view.full for a in assumptions):
+                        return _model_of(worlds, rel, universe, view)
     return None
 
 
+def _model_of(worlds, rel, universe, view) -> KripkeModel:
+    """A candidate view as a model, built (normalized and validated)
+    through __init__."""
+    dom = {
+        w: [x for x, there in view.exists.items() if there >> i & 1]
+        for i, w in enumerate(worlds)
+    }
+    preds: dict[tuple[str, str], set] = {}
+    for (pred, *args), mask in view.atoms.items():
+        for i, w in enumerate(worlds):
+            if mask >> i & 1:
+                preds.setdefault((pred, w), set()).add(tuple(args))
+    return KripkeModel(worlds, rel, universe, dom, view.consts, view.funcs, preds)
+
+
 def _verify_countermodel(model, witness, assumptions, goal, config):
+    view = _model_view(model)
     ok = (
         check_frame(model, config.logic)
         and check_domains(model, config.domain)
-        and all(eval_fml(model, w, a) for a in assumptions for w in model.worlds)
-        and not eval_fml(model, witness, goal)
+        and all(a(view) == view.full for a in assumptions)
+        and not goal(view) >> model.worlds.index(witness) & 1
     )
     if not ok:
         raise AssertionError("internal error: countermodel failed re-verification")
@@ -618,26 +793,29 @@ def find_countermodel(
     and every verdict there, so neither the answer nor the smallest size
     changes.  Individuals are enumerated up to renaming, whatever the
     signature: their behaviors are taken as a multiset, and everything
-    else is enumerated in full over it.  Returns the first countermodel
-    found, NoCountermodelWithinBounds after exhausting the bounds, or
-    Timeout once the time budget runs out.
+    else is enumerated in full over it.  Each unit is compiled once into
+    a labeller, and a candidate is tested by labelling: the conjecture's
+    mask must miss w1 and every assumption's must hold every world.
+    Returns the first countermodel found, NoCountermodelWithinBounds
+    after exhausting the bounds, or Timeout once the time budget runs out.
     """
     conjecture = problem.conjecture()
     if conjecture is None:
         raise NoConjectureError("the problem has no conjecture to refute")
     sig = problem.signature
-    assumptions = tuple(u.formula for u in problem.units if u.role != "conjecture")
-    goal = conjecture.formula
+    assumptions = tuple(_labeller(u.formula) for u in problem.units if u.role != "conjecture")
+    goal = _labeller(conjecture.formula)
     deadline = None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
     try:
         for n_worlds in range(1, bounds.max_worlds + 1):
             worlds = tuple(f"w{i}" for i in range(1, n_worlds + 1))
+            frames = _relations(worlds, config.logic, deadline)
             for n_indiv in range(1, bounds.max_individuals + 1):
                 universe = tuple(f"d{i}" for i in range(1, n_indiv + 1))
-                candidate = _search(worlds, universe, sig, assumptions, goal, config, deadline)
-                if candidate is not None:
-                    # rebuilt through __init__, so normalized and validated
-                    model = replace(candidate)
+                model = _search(
+                    worlds, frames, universe, sig, assumptions, goal, config.domain, deadline
+                )
+                if model is not None:
                     _verify_countermodel(model, worlds[0], assumptions, goal, config)
                     return Countermodel(model, worlds[0])
     except _Deadline:

@@ -6,9 +6,12 @@ are asked for (including constant designation and function closure under
 varying and cumulative domains), so they can be fed straight into
 correspondence checks and the eval subcommand.
 
+reference_eval_fml is the plain per-world recursive evaluator that the
+labelling evaluator (kripke.label_fml, kripke.eval_fml) is tested against.
 brute_force_countermodel_size is the plain reference the bounded search
 is tested against: it walks every relation, domain and interpretation,
-with no rooting and no symmetry reduction.
+with no rooting and no symmetry reduction, and evaluates with
+reference_eval_fml.
 """
 
 import itertools
@@ -169,6 +172,59 @@ def random_model(
     return kripke.KripkeModel(worlds, rel, universe, dom, consts, funcs, preds)
 
 
+def _reference_term(model, term: fml.Term, assignment) -> str:
+    if isinstance(term, fml.Variable):
+        try:
+            return assignment[term.name]
+        except KeyError:
+            raise kripke.UnboundVariableError(term.name) from None
+    if isinstance(term, fml.Constant):
+        try:
+            return model.consts[term.name]
+        except KeyError:
+            raise kripke.UnknownSymbolError(term.name) from None
+    if isinstance(term, fml.FunctionApp):
+        args = tuple(_reference_term(model, a, assignment) for a in term.args)
+        try:
+            return model.funcs[(term.name, args)]
+        except KeyError:
+            raise kripke.UnknownSymbolError(term.name) from None
+    raise TypeError(f"not a term: {term!r}")
+
+
+def reference_eval_fml(model, world: str, formula: fml.Formula, assignment=None) -> bool:
+    """Truth of a formula at one world, by recursion over the formula at
+    that world: boxes over accessible worlds, quantifiers over dom(w),
+    atoms over the full universe.  Connectives short-circuit."""
+    succ = {w: [] for w in model.worlds}
+    for u, v in model.rel:
+        succ[u].append(v)
+
+    def go(w, f, a) -> bool:
+        if isinstance(f, fml.Atom):
+            args = tuple(_reference_term(model, t, a) for t in f.args)
+            return args in model.preds.get((f.pred, w), frozenset())
+        if isinstance(f, fml.Not):
+            return not go(w, f.body, a)
+        if isinstance(f, fml.And):
+            return go(w, f.left, a) and go(w, f.right, a)
+        if isinstance(f, fml.Or):
+            return go(w, f.left, a) or go(w, f.right, a)
+        if isinstance(f, fml.Implies):
+            return not go(w, f.left, a) or go(w, f.right, a)
+        if isinstance(f, fml.Box):
+            return all(go(v, f.body, a) for v in succ[w])
+        if isinstance(f, fml.Dia):
+            return any(go(v, f.body, a) for v in succ[w])
+        if isinstance(f, fml.Forall):
+            return all(go(w, f.body, {**a, f.var: x}) for x in model.universe if x in model.dom[w])
+        if isinstance(f, fml.Exists):
+            return any(go(w, f.body, {**a, f.var: x}) for x in model.universe if x in model.dom[w])
+        raise TypeError(f"not a formula: {f!r}")
+
+    return go(world, formula, {} if assignment is None else assignment)
+
+
 def all_relations(worlds):
     """Every relation over the worlds, one per bitmask over the pairs."""
     pairs = [(u, v) for u in worlds for v in worlds]
@@ -182,7 +238,7 @@ def _subsets(items):
 
 
 def _refutable_at(worlds, universe, sig, assumptions, goal, config) -> bool:
-    # plain namespaces: the checkers and eval_fml only read attributes
+    # plain namespaces: the checkers and reference_eval_fml only read attributes
     full = {w: frozenset(universe) for w in worlds}
     const_choices = [
         dict(zip(sig.constants, values))
@@ -216,8 +272,8 @@ def _refutable_at(worlds, universe, sig, assumptions, goal, config) -> bool:
                     for exts in itertools.product(*slot_choices):
                         model.preds = dict(zip(slots, exts))
                         if all(
-                            kripke.eval_fml(model, w, a) for a in assumptions for w in worlds
-                        ) and not all(kripke.eval_fml(model, w, goal) for w in worlds):
+                            reference_eval_fml(model, w, a) for a in assumptions for w in worlds
+                        ) and not all(reference_eval_fml(model, w, goal) for w in worlds):
                             return True
     return False
 

@@ -360,6 +360,26 @@ def test_eval_rejects_arity_mismatch(tmp_path, capsys, e1_path):
     assert "function g has arity 1 in the problem but 2 in the fixture" in capsys.readouterr().err
 
 
+def test_eval_rejects_uninterpreted_symbols(tmp_path, capsys):
+    # p holds, so an evaluator that short-circuits never reaches q(c)
+    problem = tmp_path / "pc.qmf"
+    problem.write_text("qmf(con,conjecture,( p | q(c) )).\n", encoding="utf-8")
+    fixture = tmp_path / "p.model"
+    fixture.write_text("worlds: w1\nrel: w1>w1\nuniverse: a\npred p @ w1: ()\n", encoding="utf-8")
+    assert main(["eval", str(problem), "--model", str(fixture), "-f", "thf:k:const"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "constant 'c' of the problem has no interpretation in the fixture" in captured.err
+    problem.write_text("qmf(con,conjecture,( p | q(g(c)) )).\n", encoding="utf-8")
+    fixture.write_text(
+        "worlds: w1\nrel: w1>w1\nuniverse: a\nconst c = a\npred p @ w1: ()\n", encoding="utf-8"
+    )
+    assert main(["eval", str(problem), "--model", str(fixture), "-f", "thf:k:const"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "function 'g' of the problem has no interpretation in the fixture" in captured.err
+
+
 def test_eval_requires_conjecture(tmp_path, capsys):
     problem = tmp_path / "ax.qmf"
     problem.write_text("qmf(a,axiom,( p )).\n", encoding="utf-8")

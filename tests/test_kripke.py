@@ -1,5 +1,6 @@
 """Model invariants, both evaluators, structure checks, and bounded search."""
 
+import dataclasses
 import itertools
 import time
 
@@ -27,6 +28,7 @@ from fml2hol.kripke import (
     eval_hol,
     find_countermodel,
     frame_violations,
+    label_fml,
     parse_model,
     print_model,
 )
@@ -181,6 +183,77 @@ def test_eval_duality_properties():
             assert eval_fml(model, w, fml.Exists("X", formula)) == eval_fml(
                 model, w, forall_dual
             )
+
+
+def _unit(formula):
+    return fml.Problem((fml.AnnotatedFormula("u", "axiom", formula),))
+
+
+def _closed_over(formula, names):
+    for name in names:
+        formula = fml.Forall(name, formula)
+    return formula
+
+
+def _has_free_variable(formula, bound) -> bool:
+    try:
+        _unit(_closed_over(formula, bound))
+    except fml.FreeVariableError:
+        return True
+    return False
+
+
+def _raises_where_reference_does(error, expected, model, formula, assignment) -> bool:
+    """The labeller raises exactly when expected, and whenever the
+    reference raises at some world; returns whether it raised."""
+    if expected:
+        with pytest.raises(error):
+            label_fml(model, formula, assignment)
+    else:
+        label_fml(model, formula, assignment)
+    for w in model.worlds:
+        try:
+            helpers.reference_eval_fml(model, w, formula, assignment)
+        except error:
+            assert expected, (formula, w)
+    return expected
+
+
+def test_labelling_agrees_with_reference_evaluator():
+    r = helpers.make_rng(2215)
+    domains = tuple(DomainCondition)
+    raised = {UnboundVariableError: 0, UnknownSymbolError: 0}
+    for i in range(300):
+        sig = helpers.random_signature(r)
+        model = helpers.random_model(r, sig, domains[i % len(domains)])
+        scope = ("X", "Y")[: r.randint(0, 2)]
+        formula = helpers.random_formula(r, sig, r.randint(0, 4), scope)
+        assignment = {name: r.choice(model.universe) for name in scope}
+        truth = label_fml(model, formula, assignment)
+        for j, w in enumerate(model.worlds):
+            expected = helpers.reference_eval_fml(model, w, formula, assignment)
+            assert bool(truth >> j & 1) == expected, (formula, model, w)
+            assert eval_fml(model, w, formula, assignment) == expected
+        # every atom is labelled, so a missing value raises wherever the
+        # formula mentions it, also where the reference short-circuits
+        if scope:
+            kept = scope[1:]
+            partial = {name: assignment[name] for name in kept}
+            raised[UnboundVariableError] += _raises_where_reference_does(
+                UnboundVariableError, _has_free_variable(formula, kept), model, formula, partial
+            )
+        used = _unit(_closed_over(formula, scope)).signature
+        if sig.constants:
+            raised[UnknownSymbolError] += _raises_where_reference_does(
+                UnknownSymbolError, bool(used.constants),
+                dataclasses.replace(model, consts={}), formula, assignment,
+            )
+        if sig.functions:
+            raised[UnknownSymbolError] += _raises_where_reference_does(
+                UnknownSymbolError, bool(used.functions),
+                dataclasses.replace(model, funcs={}), formula, assignment,
+            )
+    assert all(count > 20 for count in raised.values()), raised
 
 
 def test_constant_domain_reduction():
