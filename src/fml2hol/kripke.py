@@ -35,7 +35,9 @@ whatever the signature.  Frame and domain conditions each have one
 definition, the violation generators behind frame_violations and
 domain_violations, which the search calls as filters.  A search
 candidate is a fill of a labeller's model view, never a KripkeModel:
-only the winner is built as one, and it is re-verified.
+only the winner is built as one, and it is re-verified.  A candidate
+fills only the atoms that the units read, which one labelling pass per
+choice of constants and functions records.
 """
 
 from __future__ import annotations
@@ -244,8 +246,12 @@ def _labeller(formula: fml.Formula):
     Variables live in the slots of one list, each quantifier with a slot
     of its own and each free variable with one filled from the assignment.
     Nothing short-circuits: every atom is evaluated under every binding of
-    the variables above it, so an uninterpreted symbol or a variable
-    without a value raises wherever it occurs.
+    the variables above it, and every quantifier fold visits every
+    individual, whatever the worlds it exists at.  So an uninterpreted
+    symbol or a variable without a value raises wherever it occurs, and
+    the atoms a label reads depend on the constants, the functions and
+    the assignment only, never on the frame, the existence masks or the
+    atom values; the search relies on this to fill only the atoms read.
     """
     free: dict[str, int] = {}
     slots = itertools.count()
@@ -694,11 +700,40 @@ def _behaviors(worlds, rel, unary_count, domain):
     return out
 
 
+class _Reads(dict):
+    """An atoms table that records each key read from it: get, the
+    labeller's only read, enters the key with its default, so every atom
+    reads as false and the table's keys end up as the atoms read."""
+
+    get = dict.setdefault
+
+
+def _read_slots(worlds, universe, consts, funcs, units, slots) -> list:
+    """The slots, in their order, that labelling the units reads under
+    these constants and functions.  One labelling pass on any frame and
+    any existence masks tells: the labeller's reads depend on nothing
+    else (see _labeller).  Without slots there is nothing to record."""
+    if not slots:
+        return []
+    view = _View([0] * len(worlds), dict.fromkeys(universe, 0), _Reads(), consts, funcs)
+    for label in units:
+        label(view)
+    return [s for s in slots if s in view.atoms]
+
+
 def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
     """First model over these worlds and individuals, on one of the frames
     (each rooted at worlds[0]), that refutes the goal there; None if there
     is none.  The goal and the assumptions are labellers: one candidate is
-    one fill of a view, and only the winner becomes a KripkeModel."""
+    one fill of a view, and only the winner becomes a KripkeModel.
+
+    Only the slots that the units read are filled.  The labeller reads
+    the same atoms whatever the frame, the existence masks and the atom
+    values, so that set is recorded once per choice of constants and
+    functions and shared by every frame.  An unread slot stays absent,
+    which reads as false, and changing it changes no label: the hits are
+    closed under changing unread slots, and the first hit of the full
+    product, which has every unread slot false, is the first hit here."""
     unary = [p for p, k in sig.predicates.items() if k == 1]
     unary_keys = [(p, x) for p in unary for x in universe]
     # each other predicate takes one world mask per tuple of arguments
@@ -723,14 +758,21 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
     # under constant domains only the existence clause applies, as in
     # domain_violations: every individual exists everywhere
     interpreted = domain is not DomainCondition.CONSTANT
+    units = (goal, *assumptions)
+    # the read slots per constant/function choice, by its place in the product
+    reads: dict[int, list] = {}
     for mask in frames:
         rel = _relation(worlds, mask)
         view = _View(_successors(worlds, rel))
         behaviors = _behaviors(worlds, rel, len(unary), domain)
-        for consts, *parts in itertools.product(const_options, *func_options):
+        choices = itertools.product(const_options, *func_options)
+        for choice, (consts, *parts) in enumerate(choices):
             _check_deadline(deadline)
             funcs = dict(itertools.chain(*parts))
             view.consts, view.funcs = consts, funcs
+            if choice not in reads:
+                reads[choice] = _read_slots(worlds, universe, consts, funcs, units, slots)
+            read = reads[choice]
             for combo in itertools.combinations_with_replacement(behaviors, len(universe)):
                 _check_deadline(deadline)
                 view.exists = exists = dict(zip(universe, [b[0] for b in combo]))
@@ -741,9 +783,9 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
                 view.atoms = atoms = dict(
                     zip(unary_keys, [b[1][k] for k in range(len(unary)) for b in combo])
                 )
-                for fill in itertools.product(world_sets, repeat=len(slots)):
+                for fill in itertools.product(world_sets, repeat=len(read)):
                     _check_deadline(deadline)
-                    atoms.update(zip(slots, fill))
+                    atoms.update(zip(read, fill))
                     if not goal(view) & 1 and all(a(view) == view.full for a in assumptions):
                         return _model_of(worlds, rel, universe, view)
     return None
@@ -796,6 +838,13 @@ def find_countermodel(
     else is enumerated in full over it.  Each unit is compiled once into
     a labeller, and a candidate is tested by labelling: the conjecture's
     mask must miss w1 and every assumption's must hold every world.
+    Predicates other than unary ones are filled only at the argument
+    tuples the units read, as in MACE-style model finders: the labeller
+    never short-circuits and its quantifiers visit every individual, so
+    once constants and functions are chosen the atoms read are fixed, and
+    an atom nobody reads can change no verdict; it is left false.  This
+    changes neither the answer, nor the smallest size, nor the model
+    printed.
     Returns the first countermodel found, NoCountermodelWithinBounds
     after exhausting the bounds, or Timeout once the time budget runs out.
     """

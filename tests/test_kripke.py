@@ -1,13 +1,14 @@
 """Model invariants, both evaluators, structure checks, and bounded search."""
 
 import dataclasses
+import hashlib
 import itertools
 import time
 
 import pytest
 
 import helpers
-from fml2hol import embedding, fml, hol, qmf
+from fml2hol import embedding, fml, hol, kripke, qmf
 from fml2hol.embedding import DomainCondition, Logic, TranslationConfig
 from fml2hol.kripke import (
     Countermodel,
@@ -594,8 +595,9 @@ def test_find_countermodel_timeout_with_two_binary_functions():
 @pytest.mark.parametrize(
     "conjecture",
     [
-        # 2^27 extensions of a ternary predicate at three individuals
-        "! [X] : ( t(X,X,X) | ~ ( t(X,X,X) ) )",
+        # 2^27 extensions of a ternary predicate at three individuals, all
+        # of whose tuples are read
+        "! [X,Y,Z] : ( t(X,Y,Z) | ~ ( t(X,Y,Z) ) )",
         # 3^27 tables of a ternary function at three individuals
         "! [X] : ( p(h(X,X,X)) | ~ ( p(h(X,X,X)) ) )",
     ],
@@ -609,6 +611,29 @@ def test_find_countermodel_timeout_while_listing_options(conjecture):
     )
     assert isinstance(result, Timeout)
     assert time.monotonic() - start < 5
+
+
+def test_find_countermodel_fills_only_read_slots():
+    # the diagonal reads 3 of the 27 tuples, so 2^3 fills settle 1x3
+    problem = qmf.parse_problem("qmf(con,conjecture,( ! [X] : ( t(X,X,X) | ~ ( t(X,X,X) ) ) )).")
+    result = find_countermodel(
+        problem, config("k", "const"), SearchBounds(1, 3, time_budget=0.5)
+    )
+    assert isinstance(result, NoCountermodelWithinBounds)
+
+
+@pytest.mark.parametrize("max_worlds, max_individuals", [(2, 3), (3, 2)])
+def test_find_countermodel_exhausts_converse_barcan_on_binary_atom(max_worlds, max_individuals):
+    # r(X,c) reads n of the n^2 tuples of r; filling every tuple, the
+    # search settled neither size within the benchmark probes' 2 s budget
+    problem = qmf.parse_problem(
+        "qmf(con,conjecture,( ( ! [X] : ( #box : ( r(X,c) ) ) )"
+        " => ( #box : ( ! [X] : ( r(X,c) ) ) ) ))."
+    )
+    result = find_countermodel(
+        problem, config("k", "const"), SearchBounds(max_worlds, max_individuals, time_budget=20)
+    )
+    assert isinstance(result, NoCountermodelWithinBounds)
 
 
 # signatures small enough for brute force at 2x2 and 3x1, covering each
@@ -710,6 +735,176 @@ def test_search_agrees_with_brute_force_on_two_functions():
         else:
             assert isinstance(result, Countermodel), (problem, cfg)
             assert (len(result.model.worlds), len(result.model.universe)) == expected
+
+
+class RecordingAtoms(dict):
+    """Atom values that record each key read."""
+
+    def __init__(self, atoms):
+        super().__init__(atoms)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def random_fill(r, worlds, sig, universe, consts, funcs):
+    """A labeller view with random successors, existence masks and atom
+    values over every key of the signature, keeping consts and funcs."""
+    n = len(worlds)
+    atoms = {
+        (p, *args): r.getrandbits(n)
+        for p, k in sig.predicates.items()
+        for args in itertools.product(universe, repeat=k)
+    }
+    exists = {x: r.getrandbits(n) for x in universe}
+    return kripke._View(
+        [r.getrandbits(n) for _ in worlds], exists, RecordingAtoms(atoms), consts, funcs
+    )
+
+
+def test_read_atoms_depend_only_on_constants_and_functions():
+    # the search fills only the slots that one labelling pass reads, which
+    # is sound only if no frame, existence mask or atom value changes them
+    r = helpers.make_rng(2216)
+    signatures = (
+        fml.Signature({"p": 0, "q": 1, "r": 2}, {"g": 1}, ("c",)),
+        fml.Signature({"q": 1, "r": 2}, {"f": 2}, ("c", "e")),
+    )
+    domains = tuple(DomainCondition)
+    differed = 0
+    for i in range(200):
+        sig = signatures[i % len(signatures)]
+        model = helpers.random_model(r, sig, domains[i % len(domains)])
+        formula = helpers.random_formula(r, sig, r.randint(1, 4))
+        label = kripke._labeller(formula)
+        views = [
+            random_fill(r, model.worlds, sig, model.universe, model.consts, model.funcs)
+            for _ in range(2)
+        ]
+        labels = [label(view) for view in views]
+        first, second = (view.atoms.read for view in views)
+        assert first == second, formula
+        every = sorted(
+            (p, *args)
+            for p, k in sig.predicates.items()
+            for args in itertools.product(model.universe, repeat=k)
+        )
+        recorded = kripke._read_slots(
+            model.worlds, model.universe, model.consts, model.funcs, [label], every
+        )
+        assert set(recorded) == first, formula
+        differed += labels[0] != labels[1]
+    # the fills do differ where it shows
+    assert differed > 50
+
+
+def sparse_atoms(r, f: fml.Formula, pred: str, arity: int) -> fml.Formula:
+    """f with each atom s(t) replaced by pred(t,...,t,t) or pred(t,...,t,c):
+    the predicate is read only at diagonal tuples and at tuples ending in c."""
+    if isinstance(f, fml.Atom):
+        (t,) = f.args
+        last = t if r.random() < 0.5 else fml.Constant("c")
+        return fml.Atom(pred, (t,) * (arity - 1) + (last,))
+    if isinstance(f, (fml.Not, fml.Box, fml.Dia)):
+        return type(f)(sparse_atoms(r, f.body, pred, arity))
+    if isinstance(f, (fml.And, fml.Or, fml.Implies)):
+        return type(f)(sparse_atoms(r, f.left, pred, arity), sparse_atoms(r, f.right, pred, arity))
+    return type(f)(f.var, sparse_atoms(r, f.body, pred, arity))
+
+
+# the converse Barcan formula over r(X,c), refuted only at 2x2 (varying)
+SPARSE_FIXED = qmf.parse_problem(
+    "qmf(con,conjecture,( ( ! [X] : ( #box : ( r(X,c) ) ) ) => ( #box : ( ! [X] : ( r(X,c) ) ) ) ))."
+)
+
+
+def sparse_draws() -> list[fml.Problem]:
+    """Seeded differential draws over s(t), rewritten by sparse_atoms: 21
+    with the binary predicate r, then 21 with the ternary predicate t."""
+    r = helpers.make_rng(2217)
+    sig = fml.Signature({"s": 1}, {}, ("c",))
+    draws = []
+    for pred, arity in (("r", 2), ("t", 3)):
+        for _ in range(21):
+            units = tuple(
+                dataclasses.replace(u, formula=sparse_atoms(r, u.formula, pred, arity))
+                for u in differential_draw(r, sig).units
+            )
+            draws.append(fml.Problem(units))
+    return draws
+
+
+def sparse_corpus():
+    """The fixed problem under all 21 configs, then each draw under one."""
+    configs = [TranslationConfig(l, d) for l, d in itertools.product(Logic, DomainCondition)]
+    cases = [(SPARSE_FIXED, cfg) for cfg in configs]
+    cases += [(problem, configs[i % len(configs)]) for i, problem in enumerate(sparse_draws())]
+    return cases
+
+
+def test_search_agrees_with_brute_force_on_unread_slots():
+    # binary predicates at 2x2, ternary ones at 2x1 and 1x2
+    sizes = set()
+    for problem, cfg in sparse_corpus():
+        ternary = problem.signature.predicates.get("t") == 3
+        for bounds in ((2, 1), (1, 2)) if ternary else ((2, 2),):
+            result = find_countermodel(problem, cfg, SearchBounds(*bounds))
+            expected = helpers.brute_force_countermodel_size(problem, cfg, *bounds)
+            if expected is None:
+                assert isinstance(result, NoCountermodelWithinBounds), (problem, cfg, bounds)
+                continue
+            assert isinstance(result, Countermodel), (problem, cfg, bounds)
+            model = result.model
+            assert (len(model.worlds), len(model.universe)) == expected, (problem, cfg, bounds)
+            sizes.add((ternary, expected))
+    assert {(False, (1, 1)), (False, (2, 2)), (True, (1, 2))} <= sizes, sizes
+
+
+# SHA-1 over each problem's printed countermodel, or its verdict when
+# none is found, per config: recorded by a search that filled every slot
+COUNTERMODEL_DIGESTS = {
+    "k:const": "8abf64d4ffa5e235a82fd08c16f9ed08c4127a24",
+    "k:vary": "35323c0e2725d13527f55faa6b93de28ebed72c3",
+    "k:cumul": "35323c0e2725d13527f55faa6b93de28ebed72c3",
+    "k4:const": "40e7a40c613bd68ec1f0bd1efcd66f4eaf811687",
+    "k4:vary": "da7c362d102e57a6051fea8cc2a3662ef75d490a",
+    "k4:cumul": "da7c362d102e57a6051fea8cc2a3662ef75d490a",
+    "d:const": "bb82f775e63a1a792d2496faed662c061e8f724c",
+    "d:vary": "ce82fcf349224ecb7355010fc5f76d6f9ca91a5c",
+    "d:cumul": "eb8fb0f8fcd047a0fa4ac7b11aa3d116a7be9ad8",
+    "d4:const": "84d46fbcfe8bcc7287e04eb2b3ee06c15f90ea59",
+    "d4:vary": "7b79a3e80c64fba1a6926f14834e9e0157ef2f01",
+    "d4:cumul": "7b79a3e80c64fba1a6926f14834e9e0157ef2f01",
+    "t:const": "774324147cc8137bbebb50cfa0d90df04719d9d5",
+    "t:vary": "100d4c95c77c141b463e020d70abb547187d3665",
+    "t:cumul": "100d4c95c77c141b463e020d70abb547187d3665",
+    "s4:const": "774324147cc8137bbebb50cfa0d90df04719d9d5",
+    "s4:vary": "100d4c95c77c141b463e020d70abb547187d3665",
+    "s4:cumul": "100d4c95c77c141b463e020d70abb547187d3665",
+    "s5:const": "26d291d5f82dfe5680c594aaa11008e1c172aa6c",
+    "s5:vary": "c4bce90a8b2143953ebe1622126c8155a75a12fc",
+    "s5:cumul": "26d291d5f82dfe5680c594aaa11008e1c172aa6c",
+}
+
+
+def test_countermodel_digests():
+    # every printed countermodel of the unread-slot corpus at 2x2, pinned
+    # from before the search filled only read slots
+    problems = [SPARSE_FIXED, *sparse_draws()]
+    got = {}
+    for logic, domain in itertools.product(Logic, DomainCondition):
+        cfg = TranslationConfig(logic, domain)
+        digest = hashlib.sha1()
+        for problem in problems:
+            result = find_countermodel(problem, cfg, SearchBounds(2, 2))
+            if isinstance(result, Countermodel):
+                digest.update(print_model(result.model).encode())
+            else:
+                digest.update(type(result).__name__.encode())
+        got[cfg.name] = digest.hexdigest()
+    assert got == COUNTERMODEL_DIGESTS
 
 
 def test_countermodels_reverify_over_fuzz():
