@@ -24,6 +24,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import embedding, fml, kripke, qmf, thf
@@ -258,7 +259,7 @@ def _run_eval(args, parser) -> int:
             print(message, file=sys.stderr)
         return EXIT_INPUT
     truth = kripke.label_fml(model, conjecture.formula)
-    agrees = kripke.correspondence_check(model, conjecture.formula, config)
+    agrees = kripke.correspondence_check(model, conjecture.formula, config, truth=truth)
     for i, w in enumerate(model.worlds):
         print(f"{'true' if truth >> i & 1 else 'false'} at {w}")
     print(f"correspondence {'OK' if agrees else 'FAILED'}")
@@ -343,8 +344,13 @@ _HANDLERS = {
 }
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every call in a process
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args, parser)

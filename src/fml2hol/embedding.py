@@ -323,9 +323,11 @@ def _grouped_connectives(config: TranslationConfig):
         yield LOGIC, _def(property_const(prop).name, property_bodies[prop])
 
 
+@cache
 def connective_definitions(config: TranslationConfig) -> tuple[Unit, ...]:
     """Declarations and definitions of the lifted vocabulary, in an order
-    where every symbol is introduced before its first use."""
+    where every symbol is introduced before its first use.  Built once per
+    config: the result is immutable."""
     return tuple(unit for _, unit in _grouped_connectives(config))
 
 
@@ -493,8 +495,9 @@ def _reserved_names() -> tuple[frozenset[str], frozenset[str]]:
     for logic in Logic:
         for domain in DomainCondition:
             config = TranslationConfig(logic, domain)
-            units += connective_definitions(config) + frame_axioms(config)
-            units += domain_axioms(config, fml.Signature())
+            # from the generator, so that configs never used are not cached
+            units += (unit for _, unit in _grouped_connectives(config))
+            units += frame_axioms(config) + domain_axioms(config, fml.Signature())
     return (
         frozenset(u.symbol for u in units if u.symbol is not None),
         frozenset(u.name for u in units),

@@ -3,9 +3,15 @@
 ``$o`` is the type of truth values, ``$i`` the type of possible worlds,
 ``mu`` the type of individuals.  Connectives and quantifiers are primitive
 term constructors (not encoded constants); application is curried.  The
-module provides type checking, capture-avoiding substitution, beta
-normalization, alpha equality, and expansion of named definitions, which
-is everything the embedding, the emitter, and the model oracle need.
+module provides type checking, beta normalization, alpha equality, and
+expansion of named definitions, which is everything the embedding, the
+emitter, and the model oracle need.
+
+Beta normal forms are computed by evaluation and read-back, not by
+substitution: a lambda evaluates to a closure over the values of its
+variables, applying a closure evaluates its body, and a closure left in
+a term position is read back into a lambda whose binder is renamed only
+where its name would capture a variable.
 """
 
 from __future__ import annotations
@@ -221,22 +227,6 @@ def type_of(term: Term, context: dict[str, Type] | None = None) -> Type:
     return go(term, {})
 
 
-def free_var_names(term: Term) -> set[str]:
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Const):
-        return set()
-    if isinstance(term, App):
-        return free_var_names(term.fun) | free_var_names(term.arg)
-    if isinstance(term, _BINDERS):
-        return free_var_names(term.body) - {term.var}
-    if isinstance(term, Not):
-        return free_var_names(term.body)
-    if isinstance(term, (And, Or, Implies)):
-        return free_var_names(term.left) | free_var_names(term.right)
-    raise TypeError(f"not a term: {term!r}")
-
-
 def _fresh(base: str, avoid: set[str]) -> str:
     if base not in avoid:
         return base
@@ -246,50 +236,88 @@ def _fresh(base: str, avoid: set[str]) -> str:
     return f"{base}{i}"
 
 
-def substitute(term: Term, mapping: dict[str, Term]) -> Term:
-    """Replace free variables by terms, renaming binders to avoid capture."""
-    if not mapping:
-        return term
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    if isinstance(term, Const):
-        return term
-    if isinstance(term, App):
-        return App(substitute(term.fun, mapping), substitute(term.arg, mapping))
-    if isinstance(term, Not):
-        return Not(substitute(term.body, mapping))
-    if isinstance(term, (And, Or, Implies)):
-        return type(term)(
-            substitute(term.left, mapping), substitute(term.right, mapping)
-        )
-    if isinstance(term, _BINDERS):
-        live = {k: v for k, v in mapping.items() if k != term.var}
-        live = {k: v for k, v in live.items() if k in free_var_names(term.body)}
-        if not live:
-            return term
-        var, body = term.var, term.body
-        value_frees = set().union(*(free_var_names(v) for v in live.values()))
-        if var in value_frees:
-            var = _fresh(var, value_frees | free_var_names(body) | set(live))
-            body = substitute(body, {term.var: Var(var, term.var_type)})
-        return type(term)(var, term.var_type, substitute(body, live))
-    raise TypeError(f"not a term: {term!r}")
+class _Closure:
+    """The value of a lambda: its binder and body, and the values of the
+    variables the body was written under."""
+
+    __slots__ = ("var", "var_type", "body", "env")
+
+    def __init__(self, var: str, var_type: Type, body: Term, env: dict):
+        self.var, self.var_type, self.body, self.env = var, var_type, body, env
+
+
+def _normalize(term: Term, avoid: set[str]) -> tuple[Term, set[str], set[str]]:
+    """One evaluation and read-back of a term: its beta normal form, the
+    free variables met on the way and the names given to binders.
+
+    Values are _Closures and normal terms.  A binder read back keeps its
+    name unless that name is in ``avoid`` or names a binder on its path.
+    The free variables are known only once the term has been evaluated;
+    if a binder took one of their names, the caller normalises again
+    with them in ``avoid``.
+    """
+    path = set(avoid)  # names a new binder must not take
+    free: set[str] = set()
+    chosen: set[str] = set()
+
+    def bind(t, env):
+        # the body of a binder in a term position, under a fresh name
+        name = _fresh(t.var, path)
+        path.add(name)
+        chosen.add(name)
+        body = quote(evaluate(t.body, {**env, t.var: Var(name, t.var_type)}))
+        path.discard(name)
+        return name, body
+
+    def quote(value):
+        if type(value) is not _Closure:
+            return value
+        name, body = bind(value, value.env)
+        return Lambda(name, value.var_type, body)
+
+    def evaluate(t: Term, env: dict):
+        cls = type(t)
+        if cls is App:
+            fun = evaluate(t.fun, env)
+            arg = evaluate(t.arg, env)
+            if type(fun) is _Closure:
+                return evaluate(fun.body, {**fun.env, fun.var: arg})
+            return App(fun, quote(arg))
+        if cls is Var:
+            value = env.get(t.name)
+            if value is None:
+                free.add(t.name)
+                return t
+            return value
+        if cls is Const:
+            return t
+        if cls is Lambda:
+            return _Closure(t.var, t.var_type, t.body, env)
+        if cls is And or cls is Or or cls is Implies:
+            return cls(quote(evaluate(t.left, env)), quote(evaluate(t.right, env)))
+        if cls is Not:
+            return Not(quote(evaluate(t.body, env)))
+        if cls is Forall or cls is Exists:
+            name, body = bind(t, env)
+            return cls(name, t.var_type, body)
+        raise TypeError(f"not a term: {t!r}")
+
+    return quote(evaluate(term, {})), free, chosen
 
 
 def beta_normalize(term: Term) -> Term:
-    """Normal-order reduction to beta normal form (terminates: simply typed)."""
-    if isinstance(term, App):
-        fun = beta_normalize(term.fun)
-        if isinstance(fun, Lambda):
-            return beta_normalize(substitute(fun.body, {fun.var: term.arg}))
-        return App(fun, beta_normalize(term.arg))
-    if isinstance(term, _BINDERS):
-        return type(term)(term.var, term.var_type, beta_normalize(term.body))
-    if isinstance(term, Not):
-        return Not(beta_normalize(term.body))
-    if isinstance(term, (And, Or, Implies)):
-        return type(term)(beta_normalize(term.left), beta_normalize(term.right))
-    return term
+    """Beta normal form by evaluation and read-back (Berger &
+    Schwichtenberg 1991); it exists and is unique for simply typed terms.
+
+    A binder keeps its name unless a binder around it in the result or a
+    free variable of the term has that name; the result is alpha-equal to
+    the one reduction by substitution gives.
+    """
+    normal, free, chosen = _normalize(term, set())
+    if free & chosen:
+        # a binder took the name of a free variable, which it may capture
+        normal, _, _ = _normalize(term, free)
+    return normal
 
 
 def alpha_equal(a: Term, b: Term) -> bool:

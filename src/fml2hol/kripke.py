@@ -578,17 +578,21 @@ def check_domains(model, domain: DomainCondition) -> bool:
     return not domain_violations(model, domain)
 
 
-def correspondence_check(model, formula: fml.Formula, config: TranslationConfig) -> bool:
+def correspondence_check(
+    model, formula: fml.Formula, config: TranslationConfig, *, truth: int | None = None
+) -> bool:
     """Do the modal and the embedded reading agree at every world?
 
     The formula must be closed.  Its embedding is expanded to a
     definition-free beta-normal term of type $i > $o and evaluated over
-    the model; the result must equal label_fml world by world.
+    the model; the result must equal label_fml world by world.  A caller
+    that has already labelled the formula passes the mask as ``truth``.
     """
     infrastructure = hol.Problem(embedding.connective_definitions(config))
     expanded = hol.expand_definitions(infrastructure, embedding.embed_formula(formula, config))
     lifted = eval_hol(model, expanded)
-    truth = label_fml(model, formula)
+    if truth is None:
+        truth = label_fml(model, formula)
     return all(bool(truth >> i & 1) == lifted(w) for i, w in enumerate(model.worlds))
 
 

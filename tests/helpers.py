@@ -11,14 +11,17 @@ labelling evaluator (kripke.label_fml, kripke.eval_fml) is tested against.
 brute_force_countermodel_size is the plain reference the bounded search
 is tested against: it walks every relation, domain and interpretation,
 with no rooting and no symmetry reduction, and evaluates with
-reference_eval_fml.
+reference_eval_fml.  reference_beta_normalize and
+reference_expand_definitions are plain normal-order reduction by
+capture-avoiding substitution, the reference that hol.beta_normalize and
+hol.expand_definitions (evaluation and read-back) are tested against.
 """
 
 import itertools
 import random
 from types import SimpleNamespace
 
-from fml2hol import fml, kripke
+from fml2hol import fml, hol, kripke
 from fml2hol.embedding import DomainCondition
 
 INDIVIDUALS = ("a", "b", "c")
@@ -291,3 +294,144 @@ def brute_force_countermodel_size(problem, config, max_worlds, max_individuals):
             if _refutable_at(worlds, INDIVIDUALS[:m], sig, assumptions, goal, config):
                 return n, m
     return None
+
+
+_HOL_BINDERS = (hol.Lambda, hol.Forall, hol.Exists)
+_HOL_CONNECTIVES = (hol.And, hol.Or, hol.Implies)
+
+
+def free_var_names(term: hol.Term) -> set[str]:
+    if isinstance(term, hol.Var):
+        return {term.name}
+    if isinstance(term, hol.Const):
+        return set()
+    if isinstance(term, hol.App):
+        return free_var_names(term.fun) | free_var_names(term.arg)
+    if isinstance(term, _HOL_BINDERS):
+        return free_var_names(term.body) - {term.var}
+    if isinstance(term, hol.Not):
+        return free_var_names(term.body)
+    if isinstance(term, _HOL_CONNECTIVES):
+        return free_var_names(term.left) | free_var_names(term.right)
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _fresh(base: str, avoid: set[str]) -> str:
+    i = 0
+    name = base
+    while name in avoid:
+        name = f"{base}{i}"
+        i += 1
+    return name
+
+
+def substitute(term: hol.Term, mapping: dict[str, hol.Term]) -> hol.Term:
+    """Replace free variables by terms, renaming binders to avoid capture."""
+    if not mapping:
+        return term
+    if isinstance(term, hol.Var):
+        return mapping.get(term.name, term)
+    if isinstance(term, hol.Const):
+        return term
+    if isinstance(term, hol.App):
+        return hol.App(substitute(term.fun, mapping), substitute(term.arg, mapping))
+    if isinstance(term, hol.Not):
+        return hol.Not(substitute(term.body, mapping))
+    if isinstance(term, _HOL_CONNECTIVES):
+        return type(term)(substitute(term.left, mapping), substitute(term.right, mapping))
+    if isinstance(term, _HOL_BINDERS):
+        live = {k: v for k, v in mapping.items() if k != term.var}
+        live = {k: v for k, v in live.items() if k in free_var_names(term.body)}
+        if not live:
+            return term
+        var, body = term.var, term.body
+        value_frees = set().union(*(free_var_names(v) for v in live.values()))
+        if var in value_frees:
+            var = _fresh(var, value_frees | free_var_names(body) | set(live))
+            body = substitute(body, {term.var: hol.Var(var, term.var_type)})
+        return type(term)(var, term.var_type, substitute(body, live))
+    raise TypeError(f"not a term: {term!r}")
+
+
+def reference_beta_normalize(term: hol.Term) -> hol.Term:
+    """Normal-order reduction by substitution: leftmost redex first."""
+    if isinstance(term, hol.App):
+        fun = reference_beta_normalize(term.fun)
+        if isinstance(fun, hol.Lambda):
+            return reference_beta_normalize(substitute(fun.body, {fun.var: term.arg}))
+        return hol.App(fun, reference_beta_normalize(term.arg))
+    if isinstance(term, _HOL_BINDERS):
+        return type(term)(term.var, term.var_type, reference_beta_normalize(term.body))
+    if isinstance(term, hol.Not):
+        return hol.Not(reference_beta_normalize(term.body))
+    if isinstance(term, _HOL_CONNECTIVES):
+        return type(term)(
+            reference_beta_normalize(term.left), reference_beta_normalize(term.right)
+        )
+    return term
+
+
+def reference_expand_definitions(problem: hol.Problem, term: hol.Term) -> hol.Term:
+    """Inline every defined constant, then reduce by substitution; the
+    definitions must be acyclic."""
+    defs = {u.symbol: u.term for u in problem.units if u.kind == "definition"}
+
+    def inline(t: hol.Term) -> hol.Term:
+        if isinstance(t, hol.Const):
+            return inline(defs[t.name]) if t.name in defs else t
+        if isinstance(t, hol.Var):
+            return t
+        if isinstance(t, hol.App):
+            return hol.App(inline(t.fun), inline(t.arg))
+        if isinstance(t, _HOL_BINDERS):
+            return type(t)(t.var, t.var_type, inline(t.body))
+        if isinstance(t, hol.Not):
+            return hol.Not(inline(t.body))
+        return type(t)(inline(t.left), inline(t.right))
+
+    return reference_beta_normalize(inline(term))
+
+
+_RANDOM_HOL_NAMES = ("X", "Y", "Z")
+_RANDOM_HOL_ARGS = (hol.TRUTH, hol.INDIV, hol.fn(hol.INDIV, hol.TRUTH))
+
+
+def random_hol_term(r: random.Random, ty: hol.Type, scope=None, depth: int = 4) -> hol.Term:
+    r"""A random well-typed term of the given type, with beta redexes at
+    the argument types $o, mu and mu > $o.  Binders take the names X, Y
+    and Z, so they shadow one another; a name no binder in scope holds
+    may occur free, so binders are also named like free variables, as in
+    (\Y. \X. Y) X."""
+    scope = {} if scope is None else scope
+    leaves = [hol.Var(n, ty) for n in _RANDOM_HOL_NAMES if scope.get(n, ty) == ty]
+    leaves.append(hol.Const("c", ty))
+    if depth <= 0:
+        return r.choice(leaves)
+    kinds = ["leaf", "redex", "redex", "app"]
+    if isinstance(ty, hol.ArrowType):
+        kinds += ["lambda"] * 3
+    elif ty == hol.TRUTH:
+        kinds += ["connective", "not", "quantifier"]
+    kind = r.choice(kinds)
+    if kind == "leaf":
+        return r.choice(leaves)
+    if kind == "app":
+        arg_type = r.choice(_RANDOM_HOL_ARGS)
+        fun = random_hol_term(r, hol.ArrowType(arg_type, ty), scope, depth - 1)
+        return hol.App(fun, random_hol_term(r, arg_type, scope, depth - 1))
+    if kind == "not":
+        return hol.Not(random_hol_term(r, ty, scope, depth - 1))
+    if kind == "connective":
+        cls = r.choice(_HOL_CONNECTIVES)
+        return cls(*(random_hol_term(r, ty, scope, depth - 1) for _ in range(2)))
+    var = r.choice(_RANDOM_HOL_NAMES)
+    if kind == "quantifier":
+        inner = {**scope, var: hol.INDIV}
+        cls = r.choice((hol.Forall, hol.Exists))
+        return cls(var, hol.INDIV, random_hol_term(r, ty, inner, depth - 1))
+    if kind == "lambda":
+        inner = {**scope, var: ty.arg}
+        return hol.Lambda(var, ty.arg, random_hol_term(r, ty.result, inner, depth - 1))
+    arg_type = r.choice(_RANDOM_HOL_ARGS)
+    body = random_hol_term(r, ty, {**scope, var: arg_type}, depth - 1)
+    return hol.App(hol.Lambda(var, arg_type, body), random_hol_term(r, arg_type, scope, depth - 1))

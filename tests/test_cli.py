@@ -3,6 +3,7 @@
 import itertools
 import stat
 import sys
+import threading
 
 import pytest
 
@@ -245,6 +246,61 @@ def test_check_default_time_budget(monkeypatch, capsys, e1_path):
     assert "(default 60)" in capsys.readouterr().out
 
 
+def _fresh_parser_stderr(capsys, argv):
+    """(exit code, stderr) of a newly built parser rejecting argv."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_parser_reuse_usage_error_then_valid_call(capsys, e1_path):
+    bad = ["translate", e1_path, "--max-worlds", "2"]
+    expected = _fresh_parser_stderr(capsys, bad)
+    assert expected[0] == 64
+    assert main(["translate", e1_path, "-f", "thf:k:const", "-o", "-"]) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert (exc.value.code, capsys.readouterr().err) == expected
+    assert main(["translate", e1_path, "-f", "thf:k:const", "-o", "-"]) == 0
+    again = capsys.readouterr()
+    assert (again.out, again.err) == (first.out, first.err) == (again.out, "")
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert (exc.value.code, capsys.readouterr().err) == _fresh_parser_stderr(capsys, [])
+
+
+def test_parser_reuse_time_budget_does_not_stick(monkeypatch, capsys, e1_path):
+    seen = []
+
+    def give_up(problem, config, bounds):
+        seen.append(bounds)
+        return kripke.Timeout()
+
+    monkeypatch.setattr(kripke, "find_countermodel", give_up)
+    assert main(["check", e1_path, "-f", "thf:k:const", "--time-budget", "1"]) == 0
+    assert main(["check", e1_path, "-f", "thf:k:const"]) == 0
+    assert seen == [kripke.SearchBounds(3, 3, 1.0), kripke.SearchBounds(3, 3, 60.0)]
+    captured = capsys.readouterr()
+    assert captured.out == "search timed out\n% SZS status Unknown\n" * 2
+    assert captured.err == ""
+
+
+def test_parser_reuse_target_flags_do_not_stick(capsys, e1_path):
+    outputs = []
+    for target in (
+        ["-f", "thf:d:vary"],
+        ["--logic", "d", "--domain", "vary"],
+        ["-f", "thf:d:vary"],
+    ):
+        assert main(["check", e1_path, *target, "--max-worlds", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert "% SZS status CounterSatisfiable" in outputs[0]
+
+
 def _conjunction(n):
     return "qmf(con,conjecture,( " + " & ".join(["p"] * n) + " )).\n"
 
@@ -277,6 +333,37 @@ def test_deep_nesting_exits_cleanly(tmp_path, capsys, text, subcommand):
         assert captured.err == f"{problem}: input nested too deeply\n"
 
 
+# The largest chains that eval accepted before beta normalisation by
+# evaluation, measured under Python 3.10 and 3.11 (the same on both) with
+# main running in a new thread; one more level exited 1 as too deep.
+@pytest.mark.parametrize(
+    "text",
+    [
+        _conjunction(123),
+        "qmf(con,conjecture,( " + "~ " * 247 + "p )).\n",
+        "qmf(con,conjecture,( " + "#box : " * 197 + "p )).\n",
+    ],
+    ids=["conj123", "neg247", "box197"],
+)
+def test_eval_depth_limits_do_not_regress(tmp_path, capsys, text):
+    problem = tmp_path / "deep.qmf"
+    problem.write_text(text, encoding="utf-8")
+    fixture = tmp_path / "one.model"
+    fixture.write_text("worlds: w1\nrel: w1>w1\nuniverse: a\n", encoding="utf-8")
+    codes = []
+    # a new thread starts at a fixed stack depth, whatever runs the tests
+    thread = threading.Thread(
+        target=lambda: codes.append(
+            main(["eval", str(problem), "-f", "thf:k:const", "--model", str(fixture)])
+        )
+    )
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert codes == [0], capsys.readouterr().err
+    assert capsys.readouterr().out.endswith(" at w1\ncorrespondence OK\n")
+
+
 @pytest.mark.parametrize("subcommand", ["translate", "check", "eval"])
 def test_each_problem_is_validated_once(monkeypatch, tmp_path, capsys, e1_path, subcommand):
     calls = []
@@ -300,6 +387,22 @@ def test_each_problem_is_validated_once(monkeypatch, tmp_path, capsys, e1_path, 
         "eval": ["--model", str(fixture)],
     }[subcommand]
     assert main([subcommand, e1_path, "-f", "thf:k:vary", *extra]) == 0
+    assert len(calls) == 1
+
+
+def test_eval_labels_the_conjecture_once(monkeypatch, tmp_path, capsys, e1_path):
+    calls = []
+    label = kripke.label_fml
+
+    def counted(model, formula, assignment=None):
+        calls.append(formula)
+        return label(model, formula, assignment)
+
+    monkeypatch.setattr(kripke, "label_fml", counted)
+    fixture = tmp_path / "growing.model"
+    fixture.write_text(FIXTURE_TEXT, encoding="utf-8")
+    assert main(["eval", e1_path, "--model", str(fixture), "-f", "thf:k:vary"]) == 0
+    assert capsys.readouterr().out == "false at w1\ntrue at w2\ncorrespondence OK\n"
     assert len(calls) == 1
 
 

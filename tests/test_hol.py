@@ -1,8 +1,13 @@
-"""Typing, substitution, normalization, and problem checking for HOL terms."""
+"""Typing, normalization, and problem checking for HOL terms; substitution
+and the substitution normaliser are the reference in helpers."""
+
+import itertools
 
 import pytest
 
-from fml2hol import hol
+import helpers
+from fml2hol import embedding, fml, hol
+from fml2hol.embedding import DomainCondition, Logic, TranslationConfig
 from fml2hol.hol import (
     INDIV,
     PROP,
@@ -31,9 +36,9 @@ from fml2hol.hol import (
     expand_definitions,
     fn,
     print_type,
-    substitute,
     type_of,
 )
+from helpers import substitute
 
 
 def test_fn_right_associates():
@@ -157,6 +162,73 @@ def test_beta_normalizes_nested_redexes():
     k = Lambda("X", INDIV, Lambda("Y", INDIV, Var("X", INDIV)))
     got = beta_normalize(apply(k, Const("a", INDIV), Const("b", INDIV)))
     assert got == Const("a", INDIV)
+
+
+def test_beta_binder_named_like_a_free_variable_is_renamed():
+    # (\Y. \X. Y) X: the inner binder must not capture the free X
+    x, y = Var("X", INDIV), Var("Y", INDIV)
+    got = beta_normalize(App(Lambda("Y", INDIV, Lambda("X", INDIV, y)), x))
+    assert isinstance(got, Lambda)
+    assert got.var != "X"
+    assert got.body == x
+
+
+def test_beta_shadowing_binder_is_renamed_under_its_namesake():
+    # \X. (\Y. \X. Y) X: the inner X would capture the outer one
+    x, y = Var("X", INDIV), Var("Y", INDIV)
+    got = beta_normalize(Lambda("X", INDIV, App(Lambda("Y", INDIV, Lambda("X", INDIV, y)), x)))
+    assert alpha_equal(got, Lambda("A", INDIV, Lambda("B", INDIV, Var("A", INDIV))))
+
+
+def test_beta_keeps_binder_names_where_nothing_is_captured():
+    pred = fn(INDIV, TRUTH)
+    p, x = Const("p", pred), Var("X", INDIV)
+    redex = App(Lambda("P", pred, Forall("X", INDIV, App(Var("P", pred), x))), p)
+    assert beta_normalize(redex) == Forall("X", INDIV, App(p, x))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_beta_normalize_matches_substitution_on_random_terms(seed):
+    r = helpers.make_rng(seed)
+    types = (TRUTH, INDIV, fn(INDIV, TRUTH))
+    for _ in range(500):
+        ty = r.choice(types)
+        term = helpers.random_hol_term(r, ty, depth=r.randint(1, 5))
+        got = beta_normalize(term)
+        assert alpha_equal(got, helpers.reference_beta_normalize(term)), term
+        assert type_of(got) == ty
+
+
+def _criteria_formulas():
+    """The formulas of acceptance criteria 3, 4 and 5, drawn as they draw them."""
+    r = helpers.make_rng(97001)
+    for domain in DomainCondition:
+        for _ in range(200):
+            sig = helpers.random_signature(r)
+            helpers.random_model(r, sig, domain)
+            yield helpers.random_formula(r, sig, depth=r.randint(0, 5))
+    r = helpers.make_rng(97002)
+    for _ in range(500):
+        yield from (unit.formula for unit in helpers.random_problem(r).units)
+    r = helpers.make_rng(97003)
+    for _ in range(500):
+        sig = helpers.random_signature(r)
+        yield helpers.random_formula(r, sig, depth=r.randint(0, 5))
+
+
+def test_expand_definitions_matches_substitution_on_criteria_formulas():
+    # every formula under one config, in turn, so each config sees about 100
+    configs = [TranslationConfig(l, d) for l, d in itertools.product(Logic, DomainCondition)]
+    for i, formula in enumerate(_criteria_formulas()):
+        config = configs[i % len(configs)]
+        problem = embedding.embed_problem(
+            fml.Problem((fml.AnnotatedFormula("con", "conjecture", formula),)), config
+        )
+        for unit in problem.units:
+            if unit.kind in ("axiom", "conjecture"):
+                got = expand_definitions(problem, unit.term)
+                want = helpers.reference_expand_definitions(problem, unit.term)
+                assert alpha_equal(got, want), (config.name, formula, unit.name)
 
 
 def test_alpha_equal_renaming():
