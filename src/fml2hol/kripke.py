@@ -32,16 +32,17 @@ Rooting loses nothing: a model refuting a formula at w restricts to the
 submodel generated by w, which keeps the frame and domain conditions and
 every truth value at w.  Individuals are enumerated up to renaming,
 whatever the signature.  Frame and domain conditions each have one
-definition, the violation generators behind frame_violations and
-domain_violations, which the search calls as filters.  A search
-candidate is a fill of a labeller's model view, never a KripkeModel:
-only the winner is built as one, and it is re-verified.  A candidate
-fills only the atoms that the units read, which one labelling pass per
-choice of constants and functions records.
+definition over world masks, the violation generators that the search
+runs as filters and frame_violations and domain_violations run on a
+model's masks.  A search candidate is a fill of a labeller's model view,
+never a KripkeModel: only the winner is built as one, and it is
+re-verified.  A candidate fills only the atoms that the units read,
+which one labelling pass per choice of constants and functions records.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import time
@@ -485,60 +486,75 @@ def eval_hol(model, term: hol.Term, environment=None):
     return go(term, {} if environment is None else dict(environment))
 
 
-def _frame_faults(worlds, rel, logic: embedding.Logic):
-    """Lazily yield frame_violations' messages for a bare relation."""
-    pairs = sorted(rel)
+@functools.lru_cache(maxsize=256)  # the search asks once per frame and vector
+def _name_order(worlds: tuple[str, ...]) -> tuple[int, ...]:
+    """World indices in world-name order, the order pairs are reported in."""
+    return tuple(sorted(range(len(worlds)), key=worlds.__getitem__))
+
+
+def _pairs(worlds, successors) -> list[tuple[int, int]]:
+    """The relation's pairs of world indices, in world-name order."""
+    order = _name_order(worlds)
+    return [(u, v) for u in order for v in order if successors[u] >> v & 1]
+
+
+def _frame_faults(worlds, successors, logic: embedding.Logic):
+    """Lazily yield frame_violations' messages from each world's successor mask."""
     for prop in frame_properties(logic):
         if prop is FrameProperty.SERIAL:
-            for w in worlds:
-                if not any((w, v) in rel for v in worlds):
+            for i, w in enumerate(worlds):
+                if not successors[i]:
                     yield f"not serial: {w} has no successor"
         elif prop is FrameProperty.REFLEXIVE:
-            for w in worlds:
-                if (w, w) not in rel:
+            for i, w in enumerate(worlds):
+                if not successors[i] >> i & 1:
                     yield f"not reflexive: missing {w}>{w}"
         elif prop is FrameProperty.TRANSITIVE:
+            pairs = _pairs(worlds, successors)
             for u, v in pairs:
                 for v2, w in pairs:
-                    if v2 == v and (u, w) not in rel:
-                        yield f"not transitive: {u}>{v} and {v}>{w} but not {u}>{w}"
+                    if v2 == v and not successors[u] >> w & 1:
+                        u_, v_, w_ = worlds[u], worlds[v], worlds[w]
+                        yield f"not transitive: {u_}>{v_} and {v_}>{w_} but not {u_}>{w_}"
         elif prop is FrameProperty.SYMMETRIC:
-            for u, v in pairs:
-                if (v, u) not in rel:
-                    yield f"not symmetric: {u}>{v} but not {v}>{u}"
+            for u, v in _pairs(worlds, successors):
+                if not successors[v] >> u & 1:
+                    yield f"not symmetric: {worlds[u]}>{worlds[v]} but not {worlds[v]}>{worlds[u]}"
 
 
 def frame_violations(model, logic: embedding.Logic) -> tuple[str, ...]:
     """Violation messages, one per offending world or pair; empty if none."""
-    return tuple(_frame_faults(model.worlds, model.rel, logic))
+    return tuple(_frame_faults(model.worlds, _successors(model.worlds, model.rel), logic))
 
 
 def check_frame(model, logic: embedding.Logic) -> bool:
     return not frame_violations(model, logic)
 
 
-def _existence_faults(worlds, rel, universe, dom, domain: DomainCondition):
-    """The constant and cumulative clauses.  Both speak of one individual
-    at a time, so they hold of a model exactly when they hold of each of
-    its individuals alone."""
+def _existence_faults(worlds, successors, exists, domain: DomainCondition):
+    """The constant and cumulative clauses over successor and existence
+    masks.  Both speak of one individual at a time, so they hold of a
+    model exactly when they hold of each of its individuals alone."""
     if domain is DomainCondition.CONSTANT:
-        full = frozenset(universe)
-        for w in worlds:
-            if dom[w] != full:
+        everyone = functools.reduce(int.__and__, exists.values(), (1 << len(worlds)) - 1)
+        for i, w in enumerate(worlds):
+            if not everyone >> i & 1:
                 yield f"not constant: dom({w}) differs from the universe"
     elif domain is DomainCondition.CUMULATIVE:
-        for u, v in sorted(rel):
-            missing = sorted(dom[u] - dom[v])
-            if missing:
-                yield f"not cumulative: {missing[0]} exists at {u} but not at {v} despite {u}>{v}"
+        order = _name_order(worlds)
+        for u in order:
+            lost = [x for x in exists if exists[x] >> u & 1 and successors[u] & ~exists[x]]
+            for v in order if lost else ():
+                gone = [x for x in lost if successors[u] >> v & 1 and not exists[x] >> v & 1]
+                if gone:
+                    x, a, b = min(gone), worlds[u], worlds[v]
+                    yield f"not cumulative: {x} exists at {a} but not at {b} despite {a}>{b}"
 
 
 def _interpretation_faults(worlds, exists, consts, funcs):
     """The non-emptiness, designation and closure clauses, given the worlds
     where each individual exists (bit i of a mask is worlds[i])."""
-    somebody = 0
-    for there in exists.values():
-        somebody |= there
+    somebody = functools.reduce(int.__or__, exists.values(), 0)
     for i, w in enumerate(worlds):
         if not somebody >> i & 1:
             yield f"non-emptiness violated: dom({w}) is empty"
@@ -565,12 +581,11 @@ def domain_violations(model, domain: DomainCondition) -> tuple[str, ...]:
     values that stay inside any domain their arguments come from.
     Cumulative adds monotonicity of domains along the relation.
     """
-    existence = _existence_faults(model.worlds, model.rel, model.universe, model.dom, domain)
+    worlds, exists = model.worlds, _existence(model)
+    existence = _existence_faults(worlds, _successors(worlds, model.rel), exists, domain)
     if domain is DomainCondition.CONSTANT:
         return tuple(existence)
-    interpretation = _interpretation_faults(
-        model.worlds, _existence(model), model.consts, model.funcs
-    )
+    interpretation = _interpretation_faults(worlds, exists, model.consts, model.funcs)
     return (*interpretation, *existence)
 
 
@@ -605,7 +620,7 @@ class SearchBounds:
     def __post_init__(self):
         if self.max_worlds < 1 or self.max_individuals < 1:
             raise ValueError("search bounds must be at least 1")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time budget must be positive")
 
 
@@ -637,19 +652,6 @@ def _check_deadline(deadline):
         raise _Deadline
 
 
-def _rooted(worlds, rel) -> bool:
-    """Is every world reachable from the first one?"""
-    seen = {worlds[0]}
-    frontier = [worlds[0]]
-    while frontier:
-        u = frontier.pop()
-        for v in worlds:
-            if v not in seen and (u, v) in rel:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == len(worlds)
-
-
 def _listed(options, deadline) -> list:
     """The options as a list, checking the time budget per option: a
     ternary function at 3 individuals has 3^27 tables, more than memory
@@ -661,27 +663,30 @@ def _listed(options, deadline) -> list:
     return out
 
 
-def _relation(worlds, mask: int) -> frozenset:
-    """The relation that a mask over all pairs of worlds stands for."""
-    pairs = itertools.product(worlds, repeat=2)
-    return frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-
-
-def _relations(worlds, logic: embedding.Logic, deadline) -> list[int]:
-    """The masks of the relations rooted at worlds[0] that meet the frame
-    conditions.  Masks are kept instead of the relations: at 4 worlds K
-    keeps 38,912, which as frozensets would take about 28 MB."""
+def _relations(worlds, logic: embedding.Logic, deadline) -> list[list[int]]:
+    """The frames rooted at worlds[0] that meet the frame conditions, as
+    successor lists, in the order of their masks over all pairs of worlds:
+    bits n*i .. n*i+n-1 of a mask are the successors of worlds[i]."""
+    n = len(worlds)
+    full = (1 << n) - 1
     out = []
-    for mask in range(2 ** (len(worlds) ** 2)):
+    for mask in range(2 ** (n * n)):
         # most masks are filtered out, so the budget is checked per mask
         _check_deadline(deadline)
-        rel = _relation(worlds, mask)
-        if _rooted(worlds, rel) and next(_frame_faults(worlds, rel, logic), None) is None:
-            out.append(mask)
+        successors = [mask >> n * i & full for i in range(n)]
+        # the worlds reachable from worlds[0]: passes until nothing is added
+        seen, last = 1, 0
+        while seen != last:
+            last = seen
+            for i, succ in enumerate(successors):
+                if seen >> i & 1:
+                    seen |= succ
+        if seen == full and not any(_frame_faults(worlds, successors, logic)):
+            out.append(successors)
     return out
 
 
-def _behaviors(worlds, rel, unary_count, domain):
+def _behaviors(worlds, successors, unary_count, domain):
     """Per-individual behavior: the worlds where it exists and, per unary
     predicate, the worlds where it has the predicate, for every existence
     vector that meets the constant and cumulative clauses on its own.
@@ -690,12 +695,10 @@ def _behaviors(worlds, rel, unary_count, domain):
     enumerates constants, functions and the other predicates in full,
     every model has an isomorphic copy among its candidates."""
     bit_options = list(itertools.product(_TRUTH_VALUES, repeat=unary_count))
-    lone = ("d1",)
     out = []
     for exists in itertools.product(_TRUTH_VALUES, repeat=len(worlds)):
-        dom = {w: frozenset(lone) if e else _EMPTY for w, e in zip(worlds, exists)}
-        if next(_existence_faults(worlds, rel, lone, dom, domain), None) is None:
-            there = sum(e << i for i, e in enumerate(exists))
+        there = sum(e << i for i, e in enumerate(exists))
+        if not any(_existence_faults(worlds, successors, {"d1": there}, domain)):
             for bits in itertools.product(bit_options, repeat=len(worlds)):
                 masks = tuple(
                     sum(b[k] << i for i, b in enumerate(bits)) for k in range(unary_count)
@@ -765,10 +768,9 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
     units = (goal, *assumptions)
     # the read slots per constant/function choice, by its place in the product
     reads: dict[int, list] = {}
-    for mask in frames:
-        rel = _relation(worlds, mask)
-        view = _View(_successors(worlds, rel))
-        behaviors = _behaviors(worlds, rel, len(unary), domain)
+    for successors in frames:
+        view = _View(successors)
+        behaviors = _behaviors(worlds, successors, len(unary), domain)
         choices = itertools.product(const_options, *func_options)
         for choice, (consts, *parts) in enumerate(choices):
             _check_deadline(deadline)
@@ -780,9 +782,7 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
             for combo in itertools.combinations_with_replacement(behaviors, len(universe)):
                 _check_deadline(deadline)
                 view.exists = exists = dict(zip(universe, [b[0] for b in combo]))
-                if interpreted and next(
-                    _interpretation_faults(worlds, exists, consts, funcs), None
-                ) is not None:
+                if interpreted and any(_interpretation_faults(worlds, exists, consts, funcs)):
                     continue
                 view.atoms = atoms = dict(
                     zip(unary_keys, [b[1][k] for k in range(len(unary)) for b in combo])
@@ -791,13 +791,13 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
                     _check_deadline(deadline)
                     atoms.update(zip(read, fill))
                     if not goal(view) & 1 and all(a(view) == view.full for a in assumptions):
-                        return _model_of(worlds, rel, universe, view)
+                        return _model_of(worlds, successors, universe, view)
     return None
 
 
-def _model_of(worlds, rel, universe, view) -> KripkeModel:
-    """A candidate view as a model, built (normalized and validated)
-    through __init__."""
+def _model_of(worlds, successors, universe, view) -> KripkeModel:
+    """A candidate view as a model, normalized and validated by __init__."""
+    rel = [(worlds[u], worlds[v]) for u, v in _pairs(worlds, successors)]
     dom = {
         w: [x for x, there in view.exists.items() if there >> i & 1]
         for i, w in enumerate(worlds)

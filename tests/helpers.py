@@ -22,7 +22,7 @@ import random
 from types import SimpleNamespace
 
 from fml2hol import fml, hol, kripke
-from fml2hol.embedding import DomainCondition
+from fml2hol.embedding import DomainCondition, Logic
 
 INDIVIDUALS = ("a", "b", "c")
 _VARS = ("X", "Y", "Z")
@@ -233,6 +233,28 @@ def all_relations(worlds):
     pairs = [(u, v) for u in worlds for v in worlds]
     for mask in range(2 ** len(pairs)):
         yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+
+
+def frame_oracle(worlds, rel) -> dict:
+    """Does the relation meet each logic's frame conditions?  Read off the
+    definitions of seriality, reflexivity, transitivity and symmetry."""
+    serial = all(any((u, v) in rel for v in worlds) for u in worlds)
+    reflexive = all((w, w) in rel for w in worlds)
+    transitive = all(
+        (u, w) in rel
+        for u in worlds for v in worlds for w in worlds
+        if (u, v) in rel and (v, w) in rel
+    )
+    symmetric = all((v, u) in rel for u in worlds for v in worlds if (u, v) in rel)
+    return {
+        Logic.K: True,
+        Logic.K4: transitive,
+        Logic.D: serial,
+        Logic.D4: serial and transitive,
+        Logic.T: reflexive,
+        Logic.S4: reflexive and transitive,
+        Logic.S5: reflexive and transitive and symmetric,
+    }
 
 
 def _subsets(items):

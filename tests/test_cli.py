@@ -228,6 +228,14 @@ def test_check_timeout_exit_codes(tmp_path, capsys):
     assert main(base + ["--strict-timeout"]) == 3
 
 
+def test_check_rejects_nan_time_budget(capsys, e1_path):
+    # NaN would never compare past the deadline; infinity is no limit
+    assert main(["check", e1_path, "-f", "thf:k:const", "--time-budget", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "time budget must be positive\n"
+    assert captured.out == ""
+
+
 def test_check_default_time_budget(monkeypatch, capsys, e1_path):
     seen = []
 

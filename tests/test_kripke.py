@@ -385,6 +385,29 @@ def test_frame_violation_messages():
     assert "not symmetric: u>v but not v>u" in frame_violations(chain, Logic.S5)
 
 
+def test_frame_enumerator_matches_plain_filter():
+    # the search's frames, in its order (which decides the countermodel
+    # printed), against all relations rooted at w1 that meet the
+    # definitions, as successor masks (bit j of entry i: worlds[i] sees worlds[j])
+    for n in (1, 2, 3):
+        worlds = tuple(f"w{i}" for i in range(1, n + 1))
+        for logic in Logic:
+            expected = []
+            for rel in helpers.all_relations(worlds):
+                reached, frontier = {"w1"}, ["w1"]
+                while frontier:
+                    u = frontier.pop()
+                    for v in worlds:
+                        if (u, v) in rel and v not in reached:
+                            reached.add(v)
+                            frontier.append(v)
+                if len(reached) == n and helpers.frame_oracle(worlds, rel)[logic]:
+                    expected.append(
+                        [sum(1 << j for j, v in enumerate(worlds) if (u, v) in rel) for u in worlds]
+                    )
+            assert kripke._relations(worlds, logic, None) == expected, (n, logic)
+
+
 def test_frame_monotonicity_chain():
     for n in (1, 2, 3):
         worlds = tuple(f"w{i}" for i in range(1, n + 1))
@@ -448,7 +471,8 @@ def test_domain_check_designation_and_closure():
 
 
 def test_violation_message_order():
-    # clause by clause in docstring order, worlds and pairs in model order
+    # clause by clause in docstring order; worlds in model order, pairs in
+    # world-name order (the cases with unsorted names below tell them apart)
     chain = KripkeModel(
         ("u", "v", "w"),
         frozenset({("u", "v"), ("v", "w")}),
@@ -486,6 +510,54 @@ def test_violation_message_order():
         "not constant: dom(v) differs from the universe",
     )
 
+    # names out of model order: serial, reflexive and constant messages go
+    # by world in model order, transitive, symmetric and cumulative ones by
+    # pair in world-name order, and a cumulative message names the
+    # alphabetically first individual missing
+    worlds, universe = ("v", "u", "w"), ("b", "a")
+    full = {w: frozenset(universe) for w in worlds}
+    dead_ends = KripkeModel(worlds, frozenset({("w", "v")}), universe, full)
+    assert frame_violations(dead_ends, Logic.D) == (
+        "not serial: v has no successor",
+        "not serial: u has no successor",
+    )
+    cycle = KripkeModel(
+        worlds, frozenset({("v", "u"), ("u", "w"), ("w", "v"), ("u", "v")}), universe, full
+    )
+    assert frame_violations(cycle, Logic.S5) == (
+        "not reflexive: missing v>v",
+        "not reflexive: missing u>u",
+        "not reflexive: missing w>w",
+        "not transitive: u>v and v>u but not u>u",
+        "not transitive: v>u and u>v but not v>v",
+        "not transitive: v>u and u>w but not v>w",
+        "not transitive: w>v and v>u but not w>u",
+        "not symmetric: u>w but not w>u",
+        "not symmetric: w>v but not v>w",
+    )
+    shrinking = KripkeModel(
+        worlds,
+        frozenset({("v", "u"), ("u", "w"), ("v", "w"), ("w", "v")}),
+        universe,
+        {"v": frozenset({"a", "b"}), "u": frozenset({"b"}), "w": frozenset()},
+    )
+    assert domain_violations(shrinking, DomainCondition.CUMULATIVE) == (
+        "non-emptiness violated: dom(w) is empty",
+        "not cumulative: b exists at u but not at w despite u>w",
+        "not cumulative: a exists at v but not at u despite v>u",
+        "not cumulative: a exists at v but not at w despite v>w",
+    )
+    partial = KripkeModel(
+        worlds,
+        frozenset(),
+        universe,
+        {"v": frozenset({"b"}), "u": frozenset({"a"}), "w": frozenset(universe)},
+    )
+    assert domain_violations(partial, DomainCondition.CONSTANT) == (
+        "not constant: dom(v) differs from the universe",
+        "not constant: dom(u) differs from the universe",
+    )
+
 
 def test_search_bounds_validation():
     with pytest.raises(ValueError):
@@ -494,6 +566,10 @@ def test_search_bounds_validation():
         SearchBounds(1, 0)
     with pytest.raises(ValueError):
         SearchBounds(1, 1, time_budget=0)
+    with pytest.raises(ValueError):
+        SearchBounds(1, 1, time_budget=float("nan"))
+    # infinity asks for no limit, and is accepted as such
+    assert SearchBounds(1, 1, time_budget=float("inf")).time_budget == float("inf")
 
 
 def test_find_countermodel_e1_varying():
