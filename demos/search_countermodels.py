@@ -2,7 +2,7 @@
 Bounded countermodel search across all 21 configurations
 =========================================================
 
-The converse Barcan formula is provable under constant domains but
+The Barcan formula is provable under constant domains but
 refutable when domains may vary.  Cumulative domains sit in between:
 the formula stays refutable for every logic except S5, whose symmetric
 accessibility turns domain growth along the relation into equality.

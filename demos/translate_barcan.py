@@ -2,7 +2,7 @@
 Translating a modal problem to classical higher-order logic
 ============================================================
 
-The converse Barcan formula  (! [X] : #box : f(X)) => #box : ! [X] : f(X)
+The Barcan formula  (! [X] : #box : f(X)) => #box : ! [X] : f(X)
 says that if everything necessarily satisfies f, then necessarily
 everything satisfies f.  Whether that holds depends on how individual
 domains behave across worlds, which makes it a nice probe for the

@@ -246,7 +246,14 @@ class _Closure:
         self.var, self.var_type, self.body, self.env = var, var_type, body, env
 
 
-def _normalize(term: Term, avoid: set[str]) -> tuple[Term, set[str], set[str]]:
+def _names(t: Term) -> list[str]:
+    """The names of the constants a term mentions, left to right."""
+    if type(t) is Const:
+        return [t.name]
+    return [n for part in vars(t).values() if isinstance(part, Term) for n in _names(part)]
+
+
+def _normalize(term: Term, avoid: set[str], defs: dict) -> tuple[Term, set[str], set[str]]:
     """One evaluation and read-back of a term: its beta normal form, the
     free variables met on the way and the names given to binders.
 
@@ -254,11 +261,28 @@ def _normalize(term: Term, avoid: set[str]) -> tuple[Term, set[str], set[str]]:
     name unless that name is in ``avoid`` or names a binder on its path.
     The free variables are known only once the term has been evaluated;
     if a binder took one of their names, the caller normalises again
-    with them in ``avoid``.
+    with them in ``avoid``.  A constant defined in ``defs`` (closed
+    bodies) evaluates to the value of its body, computed once.
     """
     path = set(avoid)  # names a new binder must not take
     free: set[str] = set()
     chosen: set[str] = set()
+    values: dict[str, object] = {}
+    visiting: set[str] = set()
+
+    def unfold(name: str):
+        if name not in values:
+            if name in visiting:
+                raise CyclicDefinitionError(name)
+            visiting.add(name)
+            # every name the body mentions, under lambdas too, so that a
+            # cycle raises even where evaluation would not reach it
+            for used in _names(defs[name]):
+                if used in defs:
+                    unfold(used)
+            values[name] = evaluate(defs[name], {})
+            visiting.discard(name)
+        return values[name]
 
     def bind(t, env):
         # the body of a binder in a term position, under a fresh name
@@ -290,7 +314,7 @@ def _normalize(term: Term, avoid: set[str]) -> tuple[Term, set[str], set[str]]:
                 return t
             return value
         if cls is Const:
-            return t
+            return unfold(t.name) if t.name in defs else t
         if cls is Lambda:
             return _Closure(t.var, t.var_type, t.body, env)
         if cls is And or cls is Or or cls is Implies:
@@ -313,10 +337,14 @@ def beta_normalize(term: Term) -> Term:
     free variable of the term has that name; the result is alpha-equal to
     the one reduction by substitution gives.
     """
-    normal, free, chosen = _normalize(term, set())
+    return _normal_form(term, {})
+
+
+def _normal_form(term: Term, defs: dict) -> Term:
+    normal, free, chosen = _normalize(term, set(), defs)
     if free & chosen:
         # a binder took the name of a free variable, which it may capture
-        normal, _, _ = _normalize(term, free)
+        normal, _, _ = _normalize(term, free, defs)
     return normal
 
 
@@ -440,40 +468,11 @@ def check_problem(problem: Problem) -> dict[str, Type]:
 
 
 def expand_definitions(problem: Problem, term: Term) -> Term:
-    """Inline every defined constant occurring in the term, then normalize.
+    """Beta normalize with every defined constant unfolded where met.
 
     Definitions may reference each other but must be acyclic; a cycle
     raises CyclicDefinitionError.  The result contains no defined constant
     and is beta-normal.
     """
     defs = {u.symbol: u.term for u in problem.units if u.kind == "definition"}
-    expanded: dict[str, Term] = {}
-    visiting: list[str] = []
-
-    def expand_name(name: str) -> Term:
-        if name in expanded:
-            return expanded[name]
-        if name in visiting:
-            raise CyclicDefinitionError(name)
-        visiting.append(name)
-        body = go(defs[name])
-        visiting.pop()
-        expanded[name] = body
-        return body
-
-    def go(t: Term) -> Term:
-        if isinstance(t, Const):
-            return expand_name(t.name) if t.name in defs else t
-        if isinstance(t, Var):
-            return t
-        if isinstance(t, App):
-            return App(go(t.fun), go(t.arg))
-        if isinstance(t, _BINDERS):
-            return type(t)(t.var, t.var_type, go(t.body))
-        if isinstance(t, Not):
-            return Not(go(t.body))
-        if isinstance(t, (And, Or, Implies)):
-            return type(t)(go(t.left), go(t.right))
-        raise TypeError(f"not a term: {t!r}")
-
-    return beta_normalize(go(term))
+    return _normal_form(term, defs)

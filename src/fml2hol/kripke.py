@@ -652,17 +652,6 @@ def _check_deadline(deadline):
         raise _Deadline
 
 
-def _listed(options, deadline) -> list:
-    """The options as a list, checking the time budget per option: a
-    ternary function at 3 individuals has 3^27 tables, more than memory
-    holds."""
-    out = []
-    for option in options:
-        _check_deadline(deadline)
-        out.append(option)
-    return out
-
-
 def _relations(worlds, logic: embedding.Logic, deadline) -> list[list[int]]:
     """The frames rooted at worlds[0] that meet the frame conditions, as
     successor lists, in the order of their masks over all pairs of worlds:
@@ -695,15 +684,15 @@ def _behaviors(worlds, successors, unary_count, domain):
     enumerates constants, functions and the other predicates in full,
     every model has an isomorphic copy among its candidates."""
     bit_options = list(itertools.product(_TRUTH_VALUES, repeat=unary_count))
+    patterns = [
+        tuple(sum(b[k] << i for i, b in enumerate(bits)) for k in range(unary_count))
+        for bits in itertools.product(bit_options, repeat=len(worlds))
+    ]
     out = []
     for exists in itertools.product(_TRUTH_VALUES, repeat=len(worlds)):
         there = sum(e << i for i, e in enumerate(exists))
         if not any(_existence_faults(worlds, successors, {"d1": there}, domain)):
-            for bits in itertools.product(bit_options, repeat=len(worlds)):
-                masks = tuple(
-                    sum(b[k] << i for i, b in enumerate(bits)) for k in range(unary_count)
-                )
-                out.append((there, masks))
+            out.extend((there, masks) for masks in patterns)
     return out
 
 
@@ -751,17 +740,14 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
         for args in itertools.product(universe, repeat=k)
     ]
     world_sets = range(2 ** len(worlds))
-    const_options = [
-        dict(zip(sig.constants, values))
-        for values in itertools.product(universe, repeat=len(sig.constants))
+    # one cell per constant, then per function entry in argument order: a
+    # choice is a value per cell, from a lazy product, never listed (a
+    # ternary function at 3 individuals has 3^27 tables)
+    entries = [
+        (name, args)
+        for name, arity in sig.functions.items()
+        for args in itertools.product(universe, repeat=arity)
     ]
-    # one option list per function, of (entry, value) pairs; their product
-    # with the constants is walked lazily below
-    func_options = []
-    for name, arity in sig.functions.items():
-        entries = [(name, args) for args in itertools.product(universe, repeat=arity)]
-        values = itertools.product(universe, repeat=len(entries))
-        func_options.append(_listed((tuple(zip(entries, v)) for v in values), deadline))
     # under constant domains only the existence clause applies, as in
     # domain_violations: every individual exists everywhere
     interpreted = domain is not DomainCondition.CONSTANT
@@ -771,10 +757,11 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
     for successors in frames:
         view = _View(successors)
         behaviors = _behaviors(worlds, successors, len(unary), domain)
-        choices = itertools.product(const_options, *func_options)
-        for choice, (consts, *parts) in enumerate(choices):
+        choices = itertools.product(universe, repeat=len(sig.constants) + len(entries))
+        for choice, values in enumerate(choices):
             _check_deadline(deadline)
-            funcs = dict(itertools.chain(*parts))
+            consts = dict(zip(sig.constants, values))
+            funcs = dict(zip(entries, values[len(sig.constants):]))
             view.consts, view.funcs = consts, funcs
             if choice not in reads:
                 reads[choice] = _read_slots(worlds, universe, consts, funcs, units, slots)
@@ -832,7 +819,8 @@ def find_countermodel(
     conjecture false at the first world, w1.  One enumerator walks the
     relations that satisfy the frame conditions, then builds the model
     individual by individual (existence and unary predicates per world),
-    then constants, functions and the remaining predicate extensions.
+    then constants and functions, one lazy product with a cell per
+    constant and per function entry, then the other predicate extensions.
     Only frames rooted at w1, with every world reachable from it, are
     enumerated: a model refuting the conjecture at w restricts to the
     submodel generated by w, which keeps every frame and domain condition

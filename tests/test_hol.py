@@ -13,6 +13,7 @@ from fml2hol.hol import (
     PROP,
     TRUTH,
     WORLD,
+    And,
     App,
     ArrowType,
     Const,
@@ -368,6 +369,40 @@ def test_expand_definitions_detects_cycles():
     )
     with pytest.raises(CyclicDefinitionError):
         expand_definitions(Problem(units), Const("a", TRUTH))
+
+
+def test_expand_definitions_detects_cycles_reached_through_another_body():
+    # the term reads only c, whose body reaches the a-b cycle under a lambda
+    units = (
+        Unit.definition("a", "a", App(Const("b", fn(TRUTH, TRUTH)), Const("t", TRUTH))),
+        Unit.definition("b", "b", Lambda("P", TRUTH, Const("a", TRUTH))),
+        Unit.definition("c", "c", Lambda("Q", TRUTH, Const("a", TRUTH))),
+    )
+    with pytest.raises(CyclicDefinitionError):
+        expand_definitions(Problem(units), Const("c", fn(TRUTH, TRUTH)))
+
+
+def test_expand_definitions_detects_self_reference_under_unapplied_lambda():
+    a = Const("a", fn(TRUTH, TRUTH))
+    units = (Unit.definition("a", "a", Lambda("P", TRUTH, a)),)
+    with pytest.raises(CyclicDefinitionError):
+        expand_definitions(Problem(units), a)
+
+
+def test_expand_definitions_matches_substitution_on_definition_used_twice():
+    # the same definition unfolded at the top and under a binder of the
+    # name its own body binds
+    p = Const("p", fn(INDIV, INDIV, TRUTH))
+    every = Const("every", fn(fn(INDIV, TRUTH), TRUTH))
+    x = Var("X", INDIV)
+    body = Lambda("F", fn(INDIV, TRUTH), Forall("X", INDIV, App(Var("F", fn(INDIV, TRUTH)), x)))
+    problem = Problem((Unit.definition("every", "every", body),))
+    term = And(
+        App(every, Lambda("Y", INDIV, apply(p, Var("Y", INDIV), Var("Y", INDIV)))),
+        Forall("X", INDIV, App(every, Lambda("Y", INDIV, apply(p, x, Var("Y", INDIV))))),
+    )
+    got = expand_definitions(problem, term)
+    assert alpha_equal(got, helpers.reference_expand_definitions(problem, term))
 
 
 def test_expand_definitions_result_is_beta_normal():

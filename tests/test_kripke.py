@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -559,6 +560,58 @@ def test_violation_message_order():
     )
 
 
+def structure_models():
+    """Models with a constant c and a unary function g over two
+    individuals: every one over 1 and 2 worlds, then a seeded sample at 3."""
+    universe = ("d1", "d2")
+    subsets = helpers._subsets(universe)
+
+    def model(worlds, rel, doms, c, g1, g2):
+        funcs = {("g", ("d1",)): g1, ("g", ("d2",)): g2}
+        return KripkeModel(worlds, rel, universe, dict(zip(worlds, doms)), {"c": c}, funcs)
+
+    for n in (1, 2):
+        worlds = tuple(f"w{i}" for i in range(1, n + 1))
+        for rel in helpers.all_relations(worlds):
+            for doms in itertools.product(subsets, repeat=n):
+                for c, g1, g2 in itertools.product(universe, repeat=3):
+                    yield model(worlds, rel, doms, c, g1, g2)
+    r = helpers.make_rng(2219)
+    worlds = ("w1", "w2", "w3")
+    relations = list(helpers.all_relations(worlds))
+    for _ in range(200):
+        doms = [r.choice(subsets) for _ in worlds]
+        yield model(worlds, r.choice(relations), doms, *[r.choice(universe) for _ in range(3)])
+
+
+def test_emitted_structure_axioms_agree_with_checkers():
+    # each config's frame and domain axioms, expanded and evaluated, hold of
+    # a model exactly when check_frame and check_domains accept it; configs
+    # whose expanded axioms coincide are evaluated once
+    sig = fml.Signature({}, {"g": 1}, ("c",))
+    checks = {}
+    for logic, domain in itertools.product(Logic, DomainCondition):
+        cfg = TranslationConfig(logic, domain)
+        definitions = hol.Problem(embedding.connective_definitions(cfg))
+        frame, domains = embedding.frame_axioms(cfg), embedding.domain_axioms(cfg, sig)
+        checks[tuple(hol.expand_definitions(definitions, u.term) for u in frame)] = (
+            check_frame, logic
+        )
+        if domain is DomainCondition.CONSTANT:
+            assert not domains
+        else:
+            checks[tuple(hol.expand_definitions(definitions, u.term) for u in domains)] = (
+                check_domains, domain
+            )
+    assert len(checks) == 7 + 1 + 7  # vary's domain axioms name no relation
+    count = 0
+    for model in structure_models():
+        count += 1
+        for terms, (check, condition) in checks.items():
+            assert all(eval_hol(model, t) for t in terms) == check(model, condition)
+    assert count == 2 * 4 * 8 + 16 * 16 * 8 + 200
+
+
 def test_search_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(0, 1)
@@ -689,6 +742,24 @@ def test_find_countermodel_timeout_while_listing_options(conjecture):
     assert time.monotonic() - start < 5
 
 
+def test_find_countermodel_walks_function_tables_without_listing_them():
+    # 3^27 tables of a ternary function at three individuals: listing them
+    # grows by megabytes within the budget, walking them lazily does not
+    problem = qmf.parse_problem(
+        "qmf(con,conjecture,( ! [X,Y,Z] : ( p(h(X,Y,Z)) | ~ ( p(h(X,Y,Z)) ) ) ))."
+    )
+    tracemalloc.start()
+    try:
+        result = find_countermodel(
+            problem, config("k", "const"), SearchBounds(1, 3, time_budget=1)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(result, Timeout)
+    assert peak < 1 << 20
+
+
 def test_find_countermodel_fills_only_read_slots():
     # the diagonal reads 3 of the 27 tuples, so 2^3 fills settle 1x3
     problem = qmf.parse_problem("qmf(con,conjecture,( ! [X] : ( t(X,X,X) | ~ ( t(X,X,X) ) ) )).")
@@ -699,7 +770,7 @@ def test_find_countermodel_fills_only_read_slots():
 
 
 @pytest.mark.parametrize("max_worlds, max_individuals", [(2, 3), (3, 2)])
-def test_find_countermodel_exhausts_converse_barcan_on_binary_atom(max_worlds, max_individuals):
+def test_find_countermodel_exhausts_barcan_on_binary_atom(max_worlds, max_individuals):
     # r(X,c) reads n of the n^2 tuples of r; filling every tuple, the
     # search settled neither size within the benchmark probes' 2 s budget
     problem = qmf.parse_problem(
@@ -890,7 +961,7 @@ def sparse_atoms(r, f: fml.Formula, pred: str, arity: int) -> fml.Formula:
     return type(f)(f.var, sparse_atoms(r, f.body, pred, arity))
 
 
-# the converse Barcan formula over r(X,c), refuted only at 2x2 (varying)
+# the Barcan formula over r(X,c), refuted only at 2x2 (varying)
 SPARSE_FIXED = qmf.parse_problem(
     "qmf(con,conjecture,( ( ! [X] : ( #box : ( r(X,c) ) ) ) => ( #box : ( ! [X] : ( r(X,c) ) ) ) ))."
 )
