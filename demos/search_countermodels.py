@@ -47,9 +47,7 @@ print(f"falsifies the conjecture at world {found.world}:")
 print()
 print(kripke.print_model(found.model))
 
-# the search result is checkable after the fact: the frame and domain
-# conditions hold, and direct evaluation agrees with the verdict
-assert kripke.check_frame(found.model, logic)
-assert kripke.check_domains(found.model, domain)
-assert not kripke.eval_fml(found.model, found.world, E1.conjecture().formula)
+# the search result is checkable after the fact: no frame or domain
+# violation, and the conjecture false at the witness
+assert kripke.countermodel_violations(E1, TranslationConfig(logic, domain), found) == ()
 print("re-verified: frame ok, domains ok, conjecture false at the witness")

@@ -28,6 +28,7 @@ from .kripke import (
     check_domains,
     check_frame,
     correspondence_check,
+    countermodel_violations,
     eval_fml,
     eval_hol,
     find_countermodel,
@@ -65,6 +66,7 @@ __all__ = [
     "check_domains",
     "check_frame",
     "correspondence_check",
+    "countermodel_violations",
     "eval_fml",
     "eval_hol",
     "find_countermodel",

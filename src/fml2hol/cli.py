@@ -18,9 +18,11 @@ domain condition; 64 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -48,6 +50,7 @@ SZS_KINDS = (
 )
 
 _SZS_LINE = re.compile(r"SZS\s+status\s+(\S+)")
+_POSIX = os.name == "posix"
 
 
 @dataclass(frozen=True)
@@ -77,16 +80,37 @@ def run_prover(path: str, command: str, timeout: float | None = None) -> SzsStat
 
     The template is split shell-style and every occurrence of ``{file}``
     is replaced by the path.  Spawn failures and missing status lines both
-    come back as Error; exceeding the timeout comes back as Timeout.
+    come back as Error; exceeding the timeout comes back as Timeout.  A
+    timeout of None or infinity sets no limit; a NaN or non-positive one
+    raises ValueError before anything is spawned.  On POSIX the prover
+    runs in a session of its own and a timeout kills its process group,
+    so a prover started through a wrapper script leaves nothing running;
+    elsewhere the prover process alone is killed.
     """
+    if timeout is not None and not timeout > 0:
+        raise ValueError("timeout must be positive")
     cmd = [part.replace("{file}", str(path)) for part in shlex.split(command)]
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return SzsStatus("Timeout")
+        proc = subprocess.Popen(
+            cmd,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=_POSIX,
+        )
     except OSError as exc:
         return SzsStatus("Error", str(exc))
-    return parse_szs(proc.stdout + "\n" + proc.stderr)
+    with proc:
+        try:
+            out, err = proc.communicate(timeout=None if timeout == math.inf else timeout)
+        except subprocess.TimeoutExpired:
+            if _POSIX:
+                os.killpg(proc.pid, signal.SIGKILL)
+            else:
+                proc.kill()
+            proc.wait()
+            return SzsStatus("Timeout")
+    return parse_szs(out + "\n" + err)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,33 +223,28 @@ def _run_check(args, parser) -> int:
     return EXIT_OK
 
 
-def _arity_mismatches(model: kripke.KripkeModel, sig: fml.Signature) -> list[str]:
-    """Symbols that the fixture interprets with another arity than the
-    problem uses; a symbol the fixture leaves out is not a mismatch."""
-    given = {
-        "predicate": {name: len(next(iter(ext))) for (name, _), ext in model.preds.items()},
-        "function": {name: len(args) for name, args in model.funcs},
-    }
-    return [
-        f"{kind} {name} has arity {arity} in the problem but {given[kind][name]} in the fixture"
-        for kind, used in (("predicate", sig.predicates), ("function", sig.functions))
-        for name, arity in used.items()
-        if given[kind].get(name, arity) != arity
+def _signature_mismatches(given: fml.Signature, used: fml.Signature) -> list[str]:
+    """The fixture's signature against the problem's: symbols it interprets
+    with another arity than the problem uses, then constants and functions
+    of the problem it leaves out (the labelling evaluator reaches every
+    term, so each would raise).  A predicate it leaves out is false."""
+    arities = [
+        f"{kind} {name} has arity {arity} in the problem but {theirs[name]} in the fixture"
+        for kind, ours, theirs in (
+            ("predicate", used.predicates, given.predicates),
+            ("function", used.functions, given.functions),
+        )
+        for name, arity in ours.items()
+        if theirs.get(name, arity) != arity
     ]
-
-
-def _uninterpreted(model: kripke.KripkeModel, sig: fml.Signature) -> list[str]:
-    """Constants and functions of the problem that the fixture leaves out;
-    the labelling evaluator reaches every term, so each would raise."""
-    functions = {name for name, _ in model.funcs}
-    return [
+    return arities + [
         f"{kind} '{name}' of the problem has no interpretation in the fixture"
-        for kind, names, given in (
-            ("constant", sig.constants, model.consts),
-            ("function", sig.functions, functions),
+        for kind, names, theirs in (
+            ("constant", used.constants, given.constants),
+            ("function", used.functions, given.functions),
         )
         for name in names
-        if name not in given
+        if name not in theirs
     ]
 
 
@@ -251,9 +270,7 @@ def _run_eval(args, parser) -> int:
     if conjecture is None:
         print("the problem has no conjecture to evaluate", file=sys.stderr)
         return EXIT_INPUT
-    mismatches = _arity_mismatches(model, problem.signature) + _uninterpreted(
-        model, problem.signature
-    )
+    mismatches = _signature_mismatches(model.signature, problem.signature)
     if mismatches:
         for message in mismatches:
             print(message, file=sys.stderr)
@@ -331,7 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_prover.add_argument(
         "--command", required=True, help="command template with a {file} placeholder"
     )
-    p_prover.add_argument("--timeout", type=float, help="seconds before killing the prover")
+    p_prover.add_argument(
+        "--timeout",
+        type=float,
+        default=60.0,
+        help="seconds before killing the prover and its process group (default 60)",
+    )
 
     return parser
 

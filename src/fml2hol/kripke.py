@@ -9,15 +9,16 @@ of that this module provides
   (bit i is worlds[i]), by bottom-up labelling as in model checking
   (Clarke, Emerson & Sistla, TOPLAS 1986): each formula is compiled once
   into a labeller, connectives become &, | and complement against the
-  full mask, boxes and diamonds lookups in per-relation tables over
-  world sets, and quantifiers folds over the universe masked by each
-  individual's existence worlds (quantifiers range over the world's
-  domain, boxes over accessible worlds),
+  full mask, boxes lookups in one table over world sets (diamonds read
+  it through their dual), and quantifiers folds over the universe masked
+  by each individual's existence worlds (quantifiers range over the
+  world's domain, boxes over accessible worlds),
 - eval_fml: truth at one world, that world's bit of label_fml; the
-  search, its re-verification and correspondence_check label directly,
+  search, countermodel_violations and correspondence_check label directly,
 - eval_hol: full finite-domain evaluation of embedded HOL terms, so both
   readings of a formula can be compared on the same model,
 - check_frame / check_domains and their violation-listing variants,
+- countermodel_violations: why a model is not a countermodel of a problem,
 - find_countermodel: bounded search for a model refuting a conjecture,
   with one enumerator over frames rooted at w1 (every world reachable
   from it, the conjecture refuted there),
@@ -98,6 +99,8 @@ class KripkeModel:
     consts: dict[str, str] = field(default_factory=dict)
     funcs: dict[tuple[str, tuple[str, ...]], str] = field(default_factory=dict)
     preds: dict[tuple[str, str], frozenset[tuple[str, ...]]] = field(default_factory=dict)
+    # the symbols interpreted, with their arities, as validation found them
+    signature: fml.Signature = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "worlds", tuple(self.worlds))
@@ -113,9 +116,9 @@ class KripkeModel:
             "preds",
             {k: frozenset(tuple(t) for t in v) for k, v in self.preds.items() if v},
         )
-        self._validate()
+        object.__setattr__(self, "signature", self._validate())
 
-    def _validate(self):
+    def _validate(self) -> fml.Signature:
         if not self.worlds:
             raise ModelError("a model needs at least one world")
         if not self.universe:
@@ -169,25 +172,25 @@ class KripkeModel:
                     raise ModelError(f"predicate {name} used with two different arities")
                 if any(a not in universe for a in args):
                     raise ModelError(f"predicate {name} holds of unknown individuals")
+        return fml.Signature(pred_arities, arities, tuple(self.consts))
 
 
 _UNBOUND = object()
 
 
 class _Image(dict):
-    """A modal table over world masks: the worlds whose successor mask
-    passes a test against the set.  A model of n worlds has 2^n sets, so
-    each entry is computed on first use and kept."""
+    """The box table over world masks: box[S] holds the worlds whose
+    successors all lie in S.  A model of n worlds has 2^n sets, so each
+    entry is computed on first use and kept."""
 
-    def __init__(self, successors: list[int], passes):
+    def __init__(self, successors: list[int]):
         super().__init__()
         self.successors = successors
-        self.passes = passes
 
     def __missing__(self, s: int) -> int:
         mask = 0
         for i, succ in enumerate(self.successors):
-            if self.passes(succ, s):
+            if not succ & ~s:
                 mask |= 1 << i
         self[s] = mask
         return mask
@@ -195,16 +198,16 @@ class _Image(dict):
 
 class _View:
     """What a labeller reads of a model.  A set of worlds is an int mask,
-    bit i standing for worlds[i]: full holds every world, box[S] and dia[S]
-    the worlds whose successors all lie in S or meet S, exists[x] the
+    bit i standing for worlds[i]: full holds every world, box[S] the
+    worlds whose successors all lie in S (diamonds read it through their
+    dual, as the emitted mdia_<logic> is defined), exists[x] the
     worlds where x exists, atoms[(pred, *args)] the worlds where the atom
     holds (no entry: nowhere); consts and funcs denote rigidly.  The search
     keeps one view per frame and swaps the other fields per candidate."""
 
     def __init__(self, successors: list[int], exists=None, atoms=None, consts=None, funcs=None):
         self.full = (1 << len(successors)) - 1
-        self.box = _Image(successors, lambda succ, s: not succ & ~s)
-        self.dia = _Image(successors, lambda succ, s: succ & s)
+        self.box = _Image(successors)
         self.exists = exists
         self.atoms = atoms
         self.consts = consts
@@ -326,7 +329,7 @@ def _labeller(formula: fml.Formula):
             return lambda v, env: v.box[body(v, env)]
         if isinstance(f, fml.Dia):
             body = compile(f.body, scope)
-            return lambda v, env: v.dia[body(v, env)]
+            return lambda v, env: v.full ^ v.box[v.full ^ body(v, env)]
         if isinstance(f, (fml.Forall, fml.Exists)):
             slot = next(slots)
             body = compile(f.body, {**scope, f.var: slot})
@@ -593,6 +596,32 @@ def check_domains(model, domain: DomainCondition) -> bool:
     return not domain_violations(model, domain)
 
 
+def countermodel_violations(
+    problem: fml.Problem, config: TranslationConfig, countermodel: Countermodel
+) -> tuple[str, ...]:
+    """Why a model is not a countermodel of the problem: its frame and
+    domain violations, then each non-conjecture unit false at some world,
+    then the conjecture if it holds at the witness; empty if it is one.
+    Every symbol of the problem must be interpreted, as for label_fml."""
+    conjecture = problem.conjecture()
+    if conjecture is None:
+        raise NoConjectureError("the problem has no conjecture to refute")
+    model, witness = countermodel.model, countermodel.world
+    faults = [*frame_violations(model, config.logic), *domain_violations(model, config.domain)]
+    view = _model_view(model)
+    for unit in problem.units:
+        if unit.role != "conjecture":
+            false = view.full ^ _labeller(unit.formula)(view)
+            if false:
+                where = " ".join(w for i, w in enumerate(model.worlds) if false >> i & 1)
+                faults.append(f"{unit.role} {unit.name} is false at {where}")
+    if witness not in model.worlds:
+        faults.append(f"witness {witness} is not a world of the model")
+    elif _labeller(conjecture.formula)(view) >> model.worlds.index(witness) & 1:
+        faults.append(f"conjecture {conjecture.name} holds at the witness {witness}")
+    return tuple(faults)
+
+
 def correspondence_check(
     model, formula: fml.Formula, config: TranslationConfig, *, truth: int | None = None
 ) -> bool:
@@ -675,21 +704,26 @@ def _relations(worlds, logic: embedding.Logic, deadline) -> list[list[int]]:
     return out
 
 
-def _behaviors(worlds, successors, unary_count, domain):
+def _behaviors(worlds, successors, unary_count, domain, deadline):
     """Per-individual behavior: the worlds where it exists and, per unary
     predicate, the worlds where it has the predicate, for every existence
     vector that meets the constant and cumulative clauses on its own.
     Enumeration order is fixed, so combinations_with_replacement over it
     takes the individuals in one canonical order; as the search then
     enumerates constants, functions and the other predicates in full,
-    every model has an isomorphic copy among its candidates."""
+    every model has an isomorphic copy among its candidates.  There are
+    2^n x 2^(n*u) of them (n worlds, u unary predicates), so the budget is
+    checked per pattern and per existence vector."""
     bit_options = list(itertools.product(_TRUTH_VALUES, repeat=unary_count))
-    patterns = [
-        tuple(sum(b[k] << i for i, b in enumerate(bits)) for k in range(unary_count))
-        for bits in itertools.product(bit_options, repeat=len(worlds))
-    ]
+    patterns = []
+    for bits in itertools.product(bit_options, repeat=len(worlds)):
+        _check_deadline(deadline)
+        patterns.append(
+            tuple(sum(b[k] << i for i, b in enumerate(bits)) for k in range(unary_count))
+        )
     out = []
     for exists in itertools.product(_TRUTH_VALUES, repeat=len(worlds)):
+        _check_deadline(deadline)
         there = sum(e << i for i, e in enumerate(exists))
         if not any(_existence_faults(worlds, successors, {"d1": there}, domain)):
             out.extend((there, masks) for masks in patterns)
@@ -756,7 +790,7 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
     reads: dict[int, list] = {}
     for successors in frames:
         view = _View(successors)
-        behaviors = _behaviors(worlds, successors, len(unary), domain)
+        behaviors = _behaviors(worlds, successors, len(unary), domain, deadline)
         choices = itertools.product(universe, repeat=len(sig.constants) + len(entries))
         for choice, values in enumerate(choices):
             _check_deadline(deadline)
@@ -795,18 +829,6 @@ def _model_of(worlds, successors, universe, view) -> KripkeModel:
             if mask >> i & 1:
                 preds.setdefault((pred, w), set()).add(tuple(args))
     return KripkeModel(worlds, rel, universe, dom, view.consts, view.funcs, preds)
-
-
-def _verify_countermodel(model, witness, assumptions, goal, config):
-    view = _model_view(model)
-    ok = (
-        check_frame(model, config.logic)
-        and check_domains(model, config.domain)
-        and all(a(view) == view.full for a in assumptions)
-        and not goal(view) >> model.worlds.index(witness) & 1
-    )
-    if not ok:
-        raise AssertionError("internal error: countermodel failed re-verification")
 
 
 def find_countermodel(
@@ -857,8 +879,10 @@ def find_countermodel(
                     worlds, frames, universe, sig, assumptions, goal, config.domain, deadline
                 )
                 if model is not None:
-                    _verify_countermodel(model, worlds[0], assumptions, goal, config)
-                    return Countermodel(model, worlds[0])
+                    found = Countermodel(model, worlds[0])
+                    if faults := countermodel_violations(problem, config, found):
+                        raise AssertionError("internal error: " + "; ".join(faults))
+                    return found
     except _Deadline:
         return Timeout()
     return NoCountermodelWithinBounds()

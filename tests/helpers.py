@@ -8,6 +8,9 @@ correspondence checks and the eval subcommand.
 
 reference_eval_fml is the plain per-world recursive evaluator that the
 labelling evaluator (kripke.label_fml, kripke.eval_fml) is tested against.
+reference_countermodel_faults re-reads a found countermodel without the
+labeller that found it: through reference_eval_fml and through eval_hol
+on the whole embedded problem.
 brute_force_countermodel_size is the plain reference the bounded search
 is tested against: it walks every relation, domain and interpretation,
 with no rooting and no symmetry reduction, and evaluates with
@@ -21,7 +24,7 @@ import itertools
 import random
 from types import SimpleNamespace
 
-from fml2hol import fml, hol, kripke
+from fml2hol import embedding, fml, hol, kripke
 from fml2hol.embedding import DomainCondition, Logic
 
 INDIVIDUALS = ("a", "b", "c")
@@ -226,6 +229,35 @@ def reference_eval_fml(model, world: str, formula: fml.Formula, assignment=None)
         raise TypeError(f"not a formula: {f!r}")
 
     return go(world, formula, {} if assignment is None else assignment)
+
+
+def reference_countermodel_faults(problem, config, countermodel) -> list[str]:
+    """kripke.countermodel_violations' question, asked without the labeller.
+
+    Through reference_eval_fml: every non-conjecture unit true at every
+    world, the conjecture false at the witness.  Through eval_hol on the
+    embedded problem, each unit expanded over its definitions: every axiom
+    and hypothesis true (the frame, domain, designation, closure and
+    cumulative axioms among them), the prove unit false, and the
+    conjecture's embedding false at the witness."""
+    model, witness = countermodel.model, countermodel.world
+    faults = []
+    for unit in problem.units:
+        if unit.role == "conjecture":
+            if reference_eval_fml(model, witness, unit.formula):
+                faults.append(f"{unit.name} true at the witness {witness} (reference_eval_fml)")
+        elif not all(reference_eval_fml(model, w, unit.formula) for w in model.worlds):
+            faults.append(f"{unit.name} false at some world (reference_eval_fml)")
+    embedded = embedding.embed_problem(problem, config)
+    for unit in embedded.units:
+        if unit.kind in ("axiom", "hypothesis", "conjecture"):
+            value = kripke.eval_hol(model, hol.expand_definitions(embedded, unit.term))
+            if value != (unit.kind != "conjecture"):
+                faults.append(f"{unit.kind} {unit.name} is {value} (eval_hol)")
+    image = embedding.embed_formula(problem.conjecture().formula, config)
+    if kripke.eval_hol(model, hol.expand_definitions(embedded, image))(witness):
+        faults.append(f"embedded conjecture true at the witness {witness} (eval_hol)")
+    return faults
 
 
 def all_relations(worlds):

@@ -4,12 +4,13 @@ import itertools
 import stat
 import sys
 import threading
+import time
 
 import pytest
 
-from fml2hol import cli, fml, kripke
+from fml2hol import cli, fml, kripke, qmf
 from fml2hol.cli import SzsStatus, main, parse_szs, run_prover
-from fml2hol.embedding import DomainCondition, Logic
+from fml2hol.embedding import DomainCondition, Logic, TranslationConfig
 
 E1_TEXT = (
     "qmf(con,conjecture,( ( ! [X] : ( #box : ( f(X) ) ) )"
@@ -185,10 +186,9 @@ def test_check_finds_varying_countermodel(capsys, e1_path):
     assert lines[0].startswith("# conjecture false at ")
     assert lines[-1] == "% SZS status CounterSatisfiable"
     witness = lines[0].split()[-1]
-    model = kripke.parse_model("\n".join(lines[1:-1]) + "\n")
-    assert kripke.check_frame(model, Logic.D)
-    assert kripke.check_domains(model, DomainCondition.VARYING)
-    assert witness in model.worlds
+    found = kripke.Countermodel(kripke.parse_model("\n".join(lines[1:-1]) + "\n"), witness)
+    config = TranslationConfig(Logic.D, DomainCondition.VARYING)
+    assert kripke.countermodel_violations(qmf.parse_problem(E1_TEXT), config, found) == ()
 
 
 def test_check_reports_exhausted_bounds(capsys, e1_path):
@@ -584,6 +584,52 @@ def test_run_prover_timeout(tmp_path, capsys, e1_path):
     )
     assert code == 0
     assert capsys.readouterr().out == "% SZS status Timeout\n"
+
+
+def test_run_prover_timeout_kills_the_process_group(tmp_path, capsys, e1_path):
+    # a wrapper script's background child would write the marker after 1 s
+    marker = tmp_path / "marker"
+    script = write_script(tmp_path, "wrapper.sh", f"(sleep 1; echo late > '{marker}') &\nsleep 5")
+    code = main(
+        ["run-prover", e1_path, "--command", f"{script} {{file}}", "--timeout", "0.3"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == "% SZS status Timeout\n"
+    time.sleep(1.5)
+    assert not marker.exists()
+
+
+def test_run_prover_default_timeout(monkeypatch, capsys, e1_path):
+    seen = []
+
+    def prover(path, command, timeout):
+        seen.append(timeout)
+        return SzsStatus("Theorem")
+
+    monkeypatch.setattr(cli, "run_prover", prover)
+    assert main(["run-prover", e1_path, "--command", "prover {file}"]) == 0
+    assert seen == [60.0]
+    with pytest.raises(SystemExit):
+        main(["run-prover", "--help"])
+    assert "(default 60)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_run_prover_rejects_bad_timeouts(tmp_path, capsys, e1_path, value):
+    marker = tmp_path / "marker"
+    script = write_script(tmp_path, "prover.sh", f"touch '{marker}'")
+    code = main(["run-prover", e1_path, "--command", f"{script} {{file}}", "--timeout", value])
+    assert code == 1
+    assert capsys.readouterr() == ("", "timeout must be positive\n")
+    assert not marker.exists()
+
+
+def test_run_prover_infinite_timeout_is_no_limit(tmp_path, capsys, e1_path):
+    script = write_script(tmp_path, "prover.sh", "echo '% SZS status Theorem'")
+    code = main(["run-prover", e1_path, "--command", f"{script} {{file}}", "--timeout", "inf"])
+    assert code == 0
+    assert capsys.readouterr().out == "% SZS status Theorem\n"
+    assert run_prover(e1_path, f"{script} {{file}}", float("inf")) == SzsStatus("Theorem")
 
 
 def test_run_prover_spawn_failure(tmp_path, capsys, e1_path):

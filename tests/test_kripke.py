@@ -25,6 +25,7 @@ from fml2hol.kripke import (
     check_domains,
     check_frame,
     correspondence_check,
+    countermodel_violations,
     domain_violations,
     eval_fml,
     eval_hol,
@@ -628,10 +629,7 @@ def test_search_bounds_validation():
 def test_find_countermodel_e1_varying():
     result = find_countermodel(E1, config("d", "vary"), SearchBounds(2, 2))
     assert isinstance(result, Countermodel)
-    model, witness = result.model, result.world
-    assert check_frame(model, Logic.D)
-    assert check_domains(model, DomainCondition.VARYING)
-    assert not eval_fml(model, witness, E1_BODY)
+    assert countermodel_violations(E1, config("d", "vary"), result) == ()
 
 
 def test_find_countermodel_e1_bounded_absences():
@@ -719,6 +717,17 @@ def test_find_countermodel_timeout_with_two_binary_functions():
     )
     assert isinstance(result, Timeout)
     assert time.monotonic() - start < 5
+
+
+def test_find_countermodel_timeout_while_listing_behaviors():
+    # six unary predicates at three worlds: 2^3 x 2^18 behaviours per frame;
+    # S5 has one frame per size, so the search reaches them early
+    body = " & ".join(f"( p{i}(X) | ~ ( p{i}(X) ) )" for i in range(6))
+    problem = qmf.parse_problem(f"qmf(con,conjecture,( ! [X] : ( {body} ) )).")
+    start = time.monotonic()
+    result = find_countermodel(problem, config("s5", "vary"), SearchBounds(3, 1, time_budget=1))
+    assert isinstance(result, Timeout)
+    assert time.monotonic() - start < 1.5
 
 
 @pytest.mark.parametrize(
@@ -1066,14 +1075,56 @@ def test_countermodels_reverify_over_fuzz():
         result = find_countermodel(problem, cfg, bounds)
         if isinstance(result, Countermodel):
             found += 1
-            model, witness = result.model, result.world
-            assert check_frame(model, cfg.logic)
-            assert check_domains(model, cfg.domain)
-            for unit in problem.units:
-                if unit.role != "conjecture":
-                    assert all(eval_fml(model, w, unit.formula) for w in model.worlds)
-            assert not eval_fml(model, witness, problem.conjecture().formula)
+            assert countermodel_violations(problem, cfg, result) == ()
+            assert helpers.reference_countermodel_faults(problem, cfg, result) == []
     assert found > 5
+
+
+# E1 with an axiom, and its first countermodel under t:vary at 2x2
+E1_WITH_AXIOM = qmf.parse_problem(
+    f"qmf(ax,axiom,( ? [X] : ( g(X) ) )). qmf(con,conjecture,( {qmf.print_formula(E1_BODY)} ))."
+)
+E1_COUNTERMODEL = parse_model("""\
+worlds: w1 w2
+rel: w1>w1 w1>w2 w2>w2
+universe: d1 d2
+dom w1: d2
+pred f @ w1: d2
+pred f @ w2: d2
+pred g @ w1: d2
+pred g @ w2: d2
+""")
+
+
+def test_countermodel_violations_name_each_fault():
+    cfg = config("t", "vary")
+    found = find_countermodel(E1_WITH_AXIOM, cfg, SearchBounds(2, 2))
+    assert found == Countermodel(E1_COUNTERMODEL, "w1")
+    assert countermodel_violations(E1_WITH_AXIOM, cfg, found) == ()
+    model = E1_COUNTERMODEL
+    tampered = {
+        "not reflexive: missing w2>w2": dataclasses.replace(model, rel=model.rel - {("w2", "w2")}),
+        "axiom ax is false at w2": dataclasses.replace(
+            model, preds={**model.preds, ("g", "w2"): ()}
+        ),
+        # f(d1) at w2 makes the consequent, so the conjecture, true at w1
+        "conjecture con holds at the witness w1": dataclasses.replace(
+            model, preds={**model.preds, ("f", "w2"): {("d1",), ("d2",)}}
+        ),
+    }
+    for message, changed in tampered.items():
+        got = countermodel_violations(E1_WITH_AXIOM, cfg, Countermodel(changed, "w1"))
+        assert got == (message,)
+    got = countermodel_violations(E1_WITH_AXIOM, cfg, Countermodel(model, "w9"))
+    assert got == ("witness w9 is not a world of the model",)
+
+
+def test_find_countermodel_rejects_a_model_that_fails_the_check(monkeypatch):
+    # the search's winner goes through countermodel_violations before it is returned
+    broken = dataclasses.replace(E1_COUNTERMODEL, rel=E1_COUNTERMODEL.rel - {("w2", "w2")})
+    monkeypatch.setattr(kripke, "_search", lambda *args: broken)
+    with pytest.raises(AssertionError, match="internal error: not reflexive: missing w2>w2"):
+        find_countermodel(E1_WITH_AXIOM, config("t", "vary"), SearchBounds(2, 2))
 
 
 def test_parse_model_round_trip():
