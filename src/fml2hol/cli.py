@@ -95,7 +95,9 @@ def run_prover(path: str, command: str, timeout: float | None = None) -> SzsStat
             cmd,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
+            # a stray byte that is not UTF-8 must not cost the status line
+            encoding="utf-8",
+            errors="replace",
             start_new_session=_POSIX,
         )
     except OSError as exc:
@@ -201,11 +203,7 @@ def _run_check(args, parser) -> int:
     config = _config_from_args(args, parser)
     problem = _parse_input(args.input)
     bounds = kripke.SearchBounds(args.max_worlds, args.max_individuals, args.time_budget)
-    try:
-        result = kripke.find_countermodel(problem, config, bounds)
-    except kripke.NoConjectureError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
+    result = kripke.find_countermodel(problem, config, bounds)
     if isinstance(result, kripke.Countermodel):
         print(f"# conjecture false at {result.world}")
         sys.stdout.write(kripke.print_model(result.model))

@@ -35,10 +35,12 @@ every truth value at w.  Individuals are enumerated up to renaming,
 whatever the signature.  Frame and domain conditions each have one
 definition over world masks, the violation generators that the search
 runs as filters and frame_violations and domain_violations run on a
-model's masks.  A search candidate is a fill of a labeller's model view,
-never a KripkeModel: only the winner is built as one, and it is
-re-verified.  A candidate fills only the atoms that the units read,
-which one labelling pass per choice of constants and functions records.
+model's masks.  A KripkeModel carries those masks as its view, built
+once by the walk that validates it, the one place where a model's names
+become masks.  A search candidate is still a fill of a view, never a
+KripkeModel: only the winner is built as one, and it is re-verified.
+A candidate fills only the atoms that the units read, which one
+labelling pass per choice of constants and functions records.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ class KripkeModel:
     preds: dict[tuple[str, str], frozenset[tuple[str, ...]]] = field(default_factory=dict)
     # the symbols interpreted, with their arities, as validation found them
     signature: fml.Signature = field(init=False, compare=False, repr=False)
+    # what a labeller reads: the model as world masks, built by validation
+    view: _View = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "worlds", tuple(self.worlds))
@@ -116,9 +120,12 @@ class KripkeModel:
             "preds",
             {k: frozenset(tuple(t) for t in v) for k, v in self.preds.items() if v},
         )
-        object.__setattr__(self, "signature", self._validate())
+        self._validate()
 
-    def _validate(self) -> fml.Signature:
+    def _validate(self):
+        """Check the invariants and, in the same walk over the relation, the
+        domains and the extensions, record the signature and the view: the
+        one place where a model's names become world masks."""
         if not self.worlds:
             raise ModelError("a model needs at least one world")
         if not self.universe:
@@ -126,23 +133,29 @@ class KripkeModel:
         for name in (*self.worlds, *self.universe):
             if not _NAME.match(name):
                 raise ModelError(f"bad identifier {name!r}")
-        if len(set(self.worlds)) != len(self.worlds):
+        index = {w: i for i, w in enumerate(self.worlds)}
+        if len(index) != len(self.worlds):
             raise ModelError("duplicate world")
-        if len(set(self.universe)) != len(self.universe):
-            raise ModelError("duplicate individual")
-        worlds = set(self.worlds)
         universe = set(self.universe)
+        if len(universe) != len(self.universe):
+            raise ModelError("duplicate individual")
+        successors = [0] * len(self.worlds)
         for u, v in self.rel:
-            if u not in worlds or v not in worlds:
+            if u not in index or v not in index:
                 raise ModelError(f"relation pair {u}>{v} mentions an unknown world")
+            successors[index[u]] |= 1 << index[v]
         for w in self.worlds:
             if w not in self.dom:
                 raise ModelError(f"missing domain for world {w}")
+        # in universe order, the order quantifiers visit individuals in
+        exists = dict.fromkeys(self.universe, 0)
         for w, members in self.dom.items():
-            if w not in worlds:
+            if w not in index:
                 raise ModelError(f"domain for unknown world {w}")
             if not members <= universe:
                 raise ModelError(f"dom({w}) mentions individuals outside the universe")
+            for x in members:
+                exists[x] |= 1 << index[w]
         for name, val in self.consts.items():
             if not _NAME.match(name):
                 raise ModelError(f"bad constant name {name!r}")
@@ -162,17 +175,21 @@ class KripkeModel:
                     entry = f"{name}({','.join(combo)})"
                     raise ModelError(f"function {name} is not total: missing {entry}")
         pred_arities: dict[str, int] = {}
+        atoms: dict[tuple[str, ...], int] = {}
         for (name, w), ext in self.preds.items():
             if not _NAME.match(name):
                 raise ModelError(f"bad predicate name {name!r}")
-            if w not in worlds:
+            if w not in index:
                 raise ModelError(f"predicate {name} valued at unknown world {w}")
             for args in ext:
                 if pred_arities.setdefault(name, len(args)) != len(args):
                     raise ModelError(f"predicate {name} used with two different arities")
                 if any(a not in universe for a in args):
                     raise ModelError(f"predicate {name} holds of unknown individuals")
-        return fml.Signature(pred_arities, arities, tuple(self.consts))
+                atoms[(name, *args)] = atoms.get((name, *args), 0) | 1 << index[w]
+        signature = fml.Signature(pred_arities, arities, tuple(self.consts))
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "view", _View(successors, exists, atoms, self.consts, self.funcs))
 
 
 _UNBOUND = object()
@@ -198,48 +215,23 @@ class _Image(dict):
 
 class _View:
     """What a labeller reads of a model.  A set of worlds is an int mask,
-    bit i standing for worlds[i]: full holds every world, box[S] the
-    worlds whose successors all lie in S (diamonds read it through their
-    dual, as the emitted mdia_<logic> is defined), exists[x] the
-    worlds where x exists, atoms[(pred, *args)] the worlds where the atom
-    holds (no entry: nowhere); consts and funcs denote rigidly.  The search
-    keeps one view per frame and swaps the other fields per candidate."""
+    bit i standing for worlds[i]: full holds every world, successors[i]
+    the successors of worlds[i], box[S] the worlds whose successors all
+    lie in S (diamonds read it through their dual, as the emitted
+    mdia_<logic> is defined), exists[x] the worlds where x exists,
+    atoms[(pred, *args)] the worlds where the atom holds (no entry:
+    nowhere); consts and funcs denote rigidly.  A KripkeModel builds its
+    own view once; the search keeps one view per frame and swaps the
+    other fields per candidate."""
 
     def __init__(self, successors: list[int], exists=None, atoms=None, consts=None, funcs=None):
         self.full = (1 << len(successors)) - 1
+        self.successors = successors
         self.box = _Image(successors)
         self.exists = exists
         self.atoms = atoms
         self.consts = consts
         self.funcs = funcs
-
-
-def _successors(worlds, rel) -> list[int]:
-    index = {w: i for i, w in enumerate(worlds)}
-    succ = [0] * len(worlds)
-    for u, v in rel:
-        succ[index[u]] |= 1 << index[v]
-    return succ
-
-
-def _existence(model) -> dict[str, int]:
-    """The worlds where each individual exists, in universe order."""
-    exists = dict.fromkeys(model.universe, 0)
-    for i, w in enumerate(model.worlds):
-        for x in model.dom[w]:
-            exists[x] |= 1 << i
-    return exists
-
-
-def _model_view(model) -> _View:
-    index = {w: i for i, w in enumerate(model.worlds)}
-    atoms: dict[tuple[str, ...], int] = {}
-    for (pred, w), ext in model.preds.items():
-        for args in ext:
-            atoms[(pred, *args)] = atoms.get((pred, *args), 0) | 1 << index[w]
-    return _View(
-        _successors(model.worlds, model.rel), _existence(model), atoms, model.consts, model.funcs
-    )
 
 
 def _labeller(formula: fml.Formula):
@@ -377,7 +369,7 @@ def label_fml(model, formula: fml.Formula, assignment=None) -> int:
     Every atom is evaluated, so an uninterpreted symbol or an unassigned
     variable raises even where its value could not matter.
     """
-    return _labeller(formula)(_model_view(model), assignment)
+    return _labeller(formula)(model.view, assignment)
 
 
 def eval_fml(model, world: str, formula: fml.Formula, assignment=None) -> bool:
@@ -527,7 +519,7 @@ def _frame_faults(worlds, successors, logic: embedding.Logic):
 
 def frame_violations(model, logic: embedding.Logic) -> tuple[str, ...]:
     """Violation messages, one per offending world or pair; empty if none."""
-    return tuple(_frame_faults(model.worlds, _successors(model.worlds, model.rel), logic))
+    return tuple(_frame_faults(model.worlds, model.view.successors, logic))
 
 
 def check_frame(model, logic: embedding.Logic) -> bool:
@@ -584,11 +576,11 @@ def domain_violations(model, domain: DomainCondition) -> tuple[str, ...]:
     values that stay inside any domain their arguments come from.
     Cumulative adds monotonicity of domains along the relation.
     """
-    worlds, exists = model.worlds, _existence(model)
-    existence = _existence_faults(worlds, _successors(worlds, model.rel), exists, domain)
+    worlds, view = model.worlds, model.view
+    existence = _existence_faults(worlds, view.successors, view.exists, domain)
     if domain is DomainCondition.CONSTANT:
         return tuple(existence)
-    interpretation = _interpretation_faults(worlds, exists, model.consts, model.funcs)
+    interpretation = _interpretation_faults(worlds, view.exists, view.consts, view.funcs)
     return (*interpretation, *existence)
 
 
@@ -608,7 +600,7 @@ def countermodel_violations(
         raise NoConjectureError("the problem has no conjecture to refute")
     model, witness = countermodel.model, countermodel.world
     faults = [*frame_violations(model, config.logic), *domain_violations(model, config.domain)]
-    view = _model_view(model)
+    view = model.view
     for unit in problem.units:
         if unit.role != "conjecture":
             false = view.full ^ _labeller(unit.formula)(view)

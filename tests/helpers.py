@@ -295,7 +295,8 @@ def _subsets(items):
 
 
 def _refutable_at(worlds, universe, sig, assumptions, goal, config) -> bool:
-    # plain namespaces: the checkers and reference_eval_fml only read attributes
+    # the checkers read a KripkeModel's view; reference_eval_fml reads the
+    # names of a plain namespace
     full = {w: frozenset(universe) for w in worlds}
     const_choices = [
         dict(zip(sig.constants, values))
@@ -314,18 +315,19 @@ def _refutable_at(worlds, universe, sig, assumptions, goal, config) -> bool:
         _subsets(itertools.product(universe, repeat=sig.predicates[p])) for p, _ in slots
     ]
     for rel in all_relations(worlds):
-        frame = SimpleNamespace(worlds=worlds, rel=rel, universe=universe, dom=full)
-        if not kripke.check_frame(frame, config.logic):
+        if not kripke.check_frame(kripke.KripkeModel(worlds, rel, universe, full), config.logic):
             continue
         for doms in itertools.product(_subsets(universe), repeat=len(worlds)):
             for consts in const_choices:
                 for funcs in func_choices:
+                    dom = dict(zip(worlds, doms))
+                    checked = kripke.KripkeModel(worlds, rel, universe, dom, consts, funcs)
+                    if not kripke.check_domains(checked, config.domain):
+                        continue
                     model = SimpleNamespace(
                         worlds=worlds, rel=rel, universe=universe,
-                        dom=dict(zip(worlds, doms)), consts=consts, funcs=funcs,
+                        dom=dom, consts=consts, funcs=funcs,
                     )
-                    if not kripke.check_domains(model, config.domain):
-                        continue
                     for exts in itertools.product(*slot_choices):
                         model.preds = dict(zip(slots, exts))
                         if all(

@@ -545,6 +545,12 @@ def test_run_prover_countersatisfiable(tmp_path, capsys, e1_path):
     assert capsys.readouterr().out == "% SZS status CounterSatisfiable\n"
 
 
+def test_run_prover_keeps_the_verdict_after_bytes_that_are_not_utf8(tmp_path, capsys, e1_path):
+    script = write_script(tmp_path, "bytes.sh", r"printf '\377\376 %% SZS status Theorem\n'")
+    assert main(["run-prover", e1_path, "--command", f"{script} {{file}}"]) == 0
+    assert capsys.readouterr() == ("% SZS status Theorem\n", "")
+
+
 def test_run_prover_receives_the_file(tmp_path, capsys, e1_path):
     script = write_script(
         tmp_path, "echoer.sh", 'cat "$1" >/dev/null && echo "% SZS status Satisfiable"'

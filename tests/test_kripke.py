@@ -643,6 +643,39 @@ def test_find_countermodel_e1_bounded_absences():
     )
 
 
+# textbook schemas with the configs that validate them.  T, 4, D, B and 5
+# correspond to reflexive, transitive, serial, symmetric and euclidean
+# frames (Hughes & Cresswell 1996); CBF to domains that grow along the
+# relation (Fitting & Mendelsohn 1998).  BF is E1, checked at 3x3 by
+# criterion 2 of the acceptance gate.
+TEXTBOOK_VERDICTS = {
+    "T": ("( #box : ( p ) ) => p", "t s4 s5", "const vary cumul"),
+    "4": ("( #box : ( p ) ) => ( #box : ( #box : ( p ) ) )", "k4 d4 s4 s5", "const vary cumul"),
+    "D": ("( #box : ( p ) ) => ( #dia : ( p ) )", "d d4 t s4 s5", "const vary cumul"),
+    "B": ("p => ( #box : ( #dia : ( p ) ) )", "s5", "const vary cumul"),
+    "5": ("( #dia : ( p ) ) => ( #box : ( #dia : ( p ) ) )", "s5", "const vary cumul"),
+    "CBF": (
+        "( #box : ( ! [X] : ( f(X) ) ) ) => ( ! [X] : ( #box : ( f(X) ) ) )",
+        "k k4 d d4 t s4 s5",
+        "const cumul",
+    ),
+}
+
+
+def test_textbook_verdict_matrix():
+    for name, (text, logics, domains) in TEXTBOOK_VERDICTS.items():
+        problem = qmf.parse_problem(f"qmf(con,conjecture,( {text} )).")
+        for logic, domain in itertools.product(Logic, DomainCondition):
+            cfg = TranslationConfig(logic, domain)
+            result = find_countermodel(problem, cfg, SearchBounds(3, 2))
+            if logic.value in logics.split() and domain.value in domains.split():
+                assert result == NoCountermodelWithinBounds(), (name, cfg.name)
+            else:
+                assert isinstance(result, Countermodel), (name, cfg.name)
+                faults = helpers.reference_countermodel_faults(problem, cfg, result)
+                assert faults == [], (name, cfg.name)
+
+
 def test_find_countermodel_requires_conjecture():
     problem = fml.Problem((fml.AnnotatedFormula("ax", "axiom", fml.Atom("p")),))
     with pytest.raises(NoConjectureError, match="no conjecture"):
