@@ -37,16 +37,19 @@ definition over world masks, the violation generators that the search
 runs as filters and frame_violations and domain_violations run on a
 model's masks.  A KripkeModel carries those masks as its view, built
 once by the walk that validates it, the one place where a model's names
-become masks.  A search candidate is still a fill of a view, never a
-KripkeModel: only the winner is built as one, and it is re-verified.
-A candidate fills only the atoms that the units read, which one
-labelling pass per choice of constants and functions records.
+become masks.  A search candidate is one lane of a packed view, never
+a KripkeModel: only the winner is built as one, and it is re-verified.
+Candidates are labelled a chunk at a time by bit-slicing (Biham, FSE
+1997), bit c*n + i standing for worlds[i] in lane c.  A candidate fills
+only the atoms that the units read, which one labelling pass per choice
+of constants and functions records.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 import time
 from dataclasses import dataclass, field
@@ -192,23 +195,23 @@ class KripkeModel:
         object.__setattr__(self, "view", _View(successors, exists, atoms, self.consts, self.funcs))
 
 
-_UNBOUND = object()
-
-
 class _Image(dict):
     """The box table over world masks: box[S] holds the worlds whose
-    successors all lie in S.  A model of n worlds has 2^n sets, so each
-    entry is computed on first use and kept."""
+    successors all lie in S, lane by lane (ones has bit c*n of each lane
+    c set).  Each entry is computed on first use and kept."""
 
-    def __init__(self, successors: list[int]):
-        super().__init__()
+    def __init__(self, successors: list[int], ones: int = 1):
         self.successors = successors
+        self.ones = ones
 
     def __missing__(self, s: int) -> int:
         mask = 0
         for i, succ in enumerate(self.successors):
-            if not succ & ~s:
-                mask |= 1 << i
+            kept = self.ones
+            for j in range(succ.bit_length()):
+                if succ >> j & 1:
+                    kept &= s >> j
+            mask |= kept << i
         self[s] = mask
         return mask
 
@@ -221,17 +224,24 @@ class _View:
     mdia_<logic> is defined), exists[x] the worlds where x exists,
     atoms[(pred, *args)] the worlds where the atom holds (no entry:
     nowhere); consts and funcs denote rigidly.  A KripkeModel builds its
-    own view once; the search keeps one view per frame and swaps the
-    other fields per candidate."""
+    own view once.  A packed view holds one candidate per lane of n bits
+    on one frame: bit c*n + i is worlds[i] in lane c, and full, box,
+    exists and atoms span every lane; lane() reads one out."""
 
-    def __init__(self, successors: list[int], exists=None, atoms=None, consts=None, funcs=None):
-        self.full = (1 << len(successors)) - 1
+    def __init__(self, successors: list[int], exists, atoms, consts, funcs, ones=1):
+        self.full = ((1 << len(successors)) - 1) * ones
         self.successors = successors
-        self.box = _Image(successors)
+        self.box = _Image(successors, ones)
         self.exists = exists
         self.atoms = atoms
         self.consts = consts
         self.funcs = funcs
+
+    def lane(self, bit):
+        """The one-lane view of the lane whose first world is this bit."""
+        full = (1 << len(self.successors)) - 1
+        masks = ({k: m // bit & full for k, m in d.items()} for d in (self.exists, self.atoms))
+        return _View(self.successors, *masks, self.consts, self.funcs)
 
 
 def _labeller(formula: fml.Formula):
@@ -239,48 +249,40 @@ def _labeller(formula: fml.Formula):
     of the worlds where it holds: bottom-up labelling, each subformula
     labelled over all worlds at once.
 
-    Variables live in the slots of one list, each quantifier with a slot
-    of its own and each free variable with one filled from the assignment.
-    Nothing short-circuits: every atom is evaluated under every binding of
-    the variables above it, and every quantifier fold visits every
-    individual, whatever the worlds it exists at.  So an uninterpreted
-    symbol or a variable without a value raises wherever it occurs, and
-    the atoms a label reads depend on the constants, the functions and
-    the assignment only, never on the frame, the existence masks or the
-    atom values; the search relies on this to fill only the atoms read.
+    Variables and constants live in the slots of one list, each
+    quantifier with a slot of its own, each free variable and constant
+    with one filled once per label from the assignment and the view.  So
+    an atom over variables and constants builds its key straight from the
+    slots.  Nothing short-circuits: every atom is evaluated under every
+    binding of the variables above it, and every quantifier fold visits
+    every individual, whatever the worlds it exists at.  So an
+    uninterpreted symbol or a variable without a value raises wherever it
+    occurs, and the atoms a label reads depend on the constants, the
+    functions and the assignment only, never on the frame, the existence
+    masks or the atom values; the search relies on this to fill only the
+    atoms read.
     """
     free: dict[str, int] = {}
+    constants: dict[str, int] = {}
     slots = itertools.count()
 
-    def variable(name: str, scope):
-        if name in scope:
-            slot = scope[name]
-            return lambda v, env: env[slot]
-        if name not in free:
-            free[name] = next(slots)
-        slot = free[name]
-
-        def read(v, env):
-            x = env[slot]
-            if x is _UNBOUND:
-                raise UnboundVariableError(name)
-            return x
-
-        return read
+    def held(t: fml.Term, scope):
+        """The slot of a variable or a constant, None for other terms."""
+        if isinstance(t, fml.Constant):
+            # constants take the slots from the end: env[-1] is the first
+            return constants.setdefault(t.name, -1 - len(constants))
+        if not isinstance(t, fml.Variable):
+            return None
+        names = scope if t.name in scope else free
+        if t.name not in names:
+            names[t.name] = next(slots)
+        return names[t.name]
 
     def term(t: fml.Term, scope):
-        if isinstance(t, fml.Variable):
-            return variable(t.name, scope)
+        slot = held(t, scope)
+        if slot is not None:
+            return lambda v, env: env[slot]
         name = t.name
-        if isinstance(t, fml.Constant):
-
-            def constant(v, env):
-                try:
-                    return v.consts[name]
-                except KeyError:
-                    raise UnknownSymbolError(name) from None
-
-            return constant
         if isinstance(t, fml.FunctionApp):
             args = [term(a, scope) for a in t.args]
 
@@ -296,14 +298,17 @@ def _labeller(formula: fml.Formula):
     def compile(f: fml.Formula, scope):
         if isinstance(f, fml.Atom):
             pred = f.pred
-            if (
-                len(f.args) == 1
-                and isinstance(f.args[0], fml.Variable)
-                and f.args[0].name in scope
-            ):
-                # a unary atom over a bound variable: one direct lookup
-                slot = scope[f.args[0].name]
-                return lambda v, env: v.atoms.get((pred, env[slot]), 0)
+            keyed = [held(a, scope) for a in f.args]
+            if None not in keyed:
+                # variables and constants: the key straight from their slots
+                if len(keyed) == 1:
+                    slot = keyed[0]
+                    return lambda v, env: v.atoms.get((pred, env[slot]), 0)
+                if not keyed:
+                    key = (pred,)
+                    return lambda v, env: v.atoms.get(key, 0)
+                values = operator.itemgetter(*keyed)
+                return lambda v, env: v.atoms.get((pred, *values(env)), 0)
             args = [term(a, scope) for a in f.args]
             return lambda v, env: v.atoms.get((pred, *[a(v, env) for a in args]), 0)
         if isinstance(f, fml.Not):
@@ -328,8 +333,7 @@ def _labeller(formula: fml.Formula):
             if isinstance(f, fml.Forall):
 
                 def forall(v, env):
-                    full = v.full
-                    out = full
+                    out = full = v.full
                     for x, there in v.exists.items():
                         env[slot] = x
                         out &= body(v, env) | (full ^ there)
@@ -351,10 +355,14 @@ def _labeller(formula: fml.Formula):
     size = next(slots)
 
     def label(view: _View, assignment=None) -> int:
-        env = [_UNBOUND] * size
-        if assignment:
-            for name, slot in free.items():
-                env[slot] = assignment.get(name, _UNBOUND)
+        try:
+            env = [None] * size + [*map(view.consts.__getitem__, reversed(constants))]
+        except KeyError as missing:
+            raise UnknownSymbolError(missing.args[0]) from None
+        for name, slot in free.items():
+            if name not in (assignment or ()):
+                raise UnboundVariableError(name)
+            env[slot] = assignment[name]
         return root(view, env)
 
     return label
@@ -696,30 +704,49 @@ def _relations(worlds, logic: embedding.Logic, deadline) -> list[list[int]]:
     return out
 
 
-def _behaviors(worlds, successors, unary_count, domain, deadline):
-    """Per-individual behavior: the worlds where it exists and, per unary
-    predicate, the worlds where it has the predicate, for every existence
-    vector that meets the constant and cumulative clauses on its own.
-    Enumeration order is fixed, so combinations_with_replacement over it
-    takes the individuals in one canonical order; as the search then
-    enumerates constants, functions and the other predicates in full,
-    every model has an isomorphic copy among its candidates.  There are
-    2^n x 2^(n*u) of them (n worlds, u unary predicates), so the budget is
-    checked per pattern and per existence vector."""
-    bit_options = list(itertools.product(_TRUTH_VALUES, repeat=unary_count))
+_WIDTH = 512  # lanes per labelling pass
+
+
+def _lanes(worlds, successors, universe, unary, domain, deadline):
+    """Behaviours packed into lanes.  A behaviour is the worlds where an
+    individual exists and, per unary predicate, the worlds where it has
+    the predicate, for every existence vector that meets the constant and
+    cumulative clauses on its own; there are 2^n x 2^(n*u) (n worlds, u
+    unary predicates), so the budget is checked while they are listed.
+    Their combinations_with_replacement take the individuals in one
+    canonical order, and the search enumerates everything else in full,
+    so every model has an isomorphic copy among the candidates.  Returns
+    a function that walks the combinations from the first, packed into
+    chunks of at most _WIDTH lanes (lane c the c-th): each chunk's ones
+    (bit c*n per lane c), existence masks and unary atom masks.  A chunk
+    is packed once, by the first walk that reaches it."""
+    n = len(worlds)
     patterns = []
-    for bits in itertools.product(bit_options, repeat=len(worlds)):
+    for bits in itertools.product(itertools.product(_TRUTH_VALUES, repeat=len(unary)), repeat=n):
         _check_deadline(deadline)
-        patterns.append(
-            tuple(sum(b[k] << i for i, b in enumerate(bits)) for k in range(unary_count))
-        )
-    out = []
-    for exists in itertools.product(_TRUTH_VALUES, repeat=len(worlds)):
+        patterns.append(tuple(sum(b << i for i, b in enumerate(row)) for row in zip(*bits)))
+    behaviors = []
+    for vector in itertools.product(_TRUTH_VALUES, repeat=n):
         _check_deadline(deadline)
-        there = sum(e << i for i, e in enumerate(exists))
+        there = sum(e << i for i, e in enumerate(vector))
         if not any(_existence_faults(worlds, successors, {"d1": there}, domain)):
-            out.extend((there, masks) for masks in patterns)
-    return out
+            behaviors.extend((there, *masks) for masks in patterns)
+    combos = itertools.combinations_with_replacement(behaviors, len(universe))
+    kept = []
+
+    def chunks():
+        yield from kept
+        while chunk := list(itertools.islice(combos, _WIDTH)):
+            shifts = range(0, n * len(chunk), n)
+            exists, atoms = {}, {}
+            for x, column in zip(universe, zip(*chunk)):
+                lanes = (sum(m << s for m, s in zip(field, shifts)) for field in zip(*column))
+                exists[x], *masks = lanes
+                atoms.update(((p, x), m) for p, m in zip(unary, masks))
+            kept.append((sum(1 << s for s in shifts), exists, atoms))
+            yield kept[-1]
+
+    return chunks
 
 
 class _Reads(dict):
@@ -747,7 +774,8 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
     """First model over these worlds and individuals, on one of the frames
     (each rooted at worlds[0]), that refutes the goal there; None if there
     is none.  The goal and the assumptions are labellers: one candidate is
-    one fill of a view, and only the winner becomes a KripkeModel.
+    one lane of a packed view at one fill, and only the winner becomes a
+    KripkeModel.
 
     Only the slots that the units read are filled.  The labeller reads
     the same atoms whatever the frame, the existence masks and the atom
@@ -757,7 +785,6 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
     closed under changing unread slots, and the first hit of the full
     product, which has every unread slot false, is the first hit here."""
     unary = [p for p, k in sig.predicates.items() if k == 1]
-    unary_keys = [(p, x) for p in unary for x in universe]
     # each other predicate takes one world mask per tuple of arguments
     slots = [
         (p, *args)
@@ -765,7 +792,7 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
         if k != 1
         for args in itertools.product(universe, repeat=k)
     ]
-    world_sets = range(2 ** len(worlds))
+    n = len(worlds)
     # one cell per constant, then per function entry in argument order: a
     # choice is a value per cell, from a lazy product, never listed (a
     # ternary function at 3 individuals has 3^27 tables)
@@ -774,37 +801,51 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
         for name, arity in sig.functions.items()
         for args in itertools.product(universe, repeat=arity)
     ]
-    # under constant domains only the existence clause applies, as in
-    # domain_violations: every individual exists everywhere
-    interpreted = domain is not DomainCondition.CONSTANT
     units = (goal, *assumptions)
     # the read slots per constant/function choice, by its place in the product
     reads: dict[int, list] = {}
+    chunks = None
     for successors in frames:
-        view = _View(successors)
-        behaviors = _behaviors(worlds, successors, len(unary), domain, deadline)
+        # with one lane there are 2^n sets, so every choice shares one table
+        lone = _Image(successors)
+        # behaviours depend on the frame through the cumulative clause only
+        if chunks is None or domain is DomainCondition.CUMULATIVE:
+            chunks = _lanes(worlds, successors, universe, unary, domain, deadline)
         choices = itertools.product(universe, repeat=len(sig.constants) + len(entries))
         for choice, values in enumerate(choices):
             _check_deadline(deadline)
             consts = dict(zip(sig.constants, values))
             funcs = dict(zip(entries, values[len(sig.constants):]))
-            view.consts, view.funcs = consts, funcs
             if choice not in reads:
                 reads[choice] = _read_slots(worlds, universe, consts, funcs, units, slots)
             read = reads[choice]
-            for combo in itertools.combinations_with_replacement(behaviors, len(universe)):
-                _check_deadline(deadline)
-                view.exists = exists = dict(zip(universe, [b[0] for b in combo]))
-                if interpreted and any(_interpretation_faults(worlds, exists, consts, funcs)):
-                    continue
-                view.atoms = atoms = dict(
-                    zip(unary_keys, [b[1][k] for k in range(len(unary)) for b in combo])
-                )
-                for fill in itertools.product(world_sets, repeat=len(read)):
+            for ones, exists, atoms in chunks():
+                view = _View(successors, exists, dict(atoms), consts, funcs, ones)
+                if ones == 1:
+                    view.box = lone
+                # the least lane with a hit, at its first hit: lanes run in
+                # candidate order, and a fill is the same in every lane
+                alive, below, winner = ones, -1, None
+                for fill in itertools.product(range(0, ones << n, ones), repeat=len(read)):
                     _check_deadline(deadline)
-                    atoms.update(zip(read, fill))
-                    if not goal(view) & 1 and all(a(view) == view.full for a in assumptions):
-                        return _model_of(worlds, successors, universe, view)
+                    view.atoms.update(zip(read, fill))
+                    hits = alive & below & ~goal(view)
+                    for assumption in assumptions if hits else ():
+                        holds = assumption(view)
+                        for i in range(n):
+                            hits &= holds >> i
+                    while hits:
+                        low = hits & -hits
+                        lane = view.lane(low)
+                        if any(_interpretation_faults(worlds, lane.exists, consts, funcs)):
+                            alive ^= low
+                            hits ^= low
+                        else:
+                            below, winner, hits = low - 1, lane, 0
+                    if not alive & below:
+                        break
+                if winner is not None:
+                    return _model_of(worlds, successors, universe, winner)
     return None
 
 
@@ -844,6 +885,10 @@ def find_countermodel(
     else is enumerated in full over it.  Each unit is compiled once into
     a labeller, and a candidate is tested by labelling: the conjecture's
     mask must miss w1 and every assumption's must hold every world.
+    Candidates that share a frame and a choice of constants and functions
+    are labelled together, one per lane, in chunks of at most _WIDTH; the
+    least hit lane of the first chunk with a hit, at its first hit fill,
+    is the candidate the one-at-a-time order meets first.
     Predicates other than unary ones are filled only at the argument
     tuples the units read, as in MACE-style model finders: the labeller
     never short-circuits and its quantifiers visit every individual, so

@@ -989,6 +989,107 @@ def test_read_atoms_depend_only_on_constants_and_functions():
     assert differed > 50
 
 
+def lane_variants(r, base, sig, count):
+    """Models on base's frame, universe, constants and functions, each with
+    random domains and random extensions of every predicate."""
+    variants = []
+    for _ in range(count):
+        dom = {w: frozenset(x for x in base.universe if r.random() < 0.5) for w in base.worlds}
+        preds = {
+            (name, w): frozenset(
+                t for t in itertools.product(base.universe, repeat=arity) if r.random() < 0.5
+            )
+            for name, arity in sig.predicates.items()
+            for w in base.worlds
+        }
+        variants.append(dataclasses.replace(base, dom=dom, preds=preds))
+    return variants
+
+
+def packed_view(models):
+    """One view holding models[c] in lane c: bit c*n + i is world i of model c."""
+    n = len(models[0].worlds)
+    views = [model.view for model in models]
+
+    def pack(field):
+        keys = dict.fromkeys(key for view in views for key in getattr(view, field))
+        return {
+            key: sum(getattr(view, field).get(key, 0) << n * c for c, view in enumerate(views))
+            for key in keys
+        }
+
+    ones = sum(1 << n * c for c in range(len(models)))
+    first = views[0]
+    return kripke._View(
+        first.successors, pack("exists"), pack("atoms"), first.consts, first.funcs, ones
+    )
+
+
+@pytest.mark.parametrize("lanes", [1, kripke._WIDTH + 3], ids=["one-lane", "past-a-chunk"])
+def test_packed_labelling_agrees_lane_by_lane(lanes):
+    # every lane of a packed view labels as its model does alone, through
+    # boxes, diamonds, quantifiers, constants and functions; the wide case
+    # holds more lanes than one search chunk
+    r = helpers.make_rng(2218)
+    sig = fml.Signature({"p": 0, "q": 1, "r": 2}, {"g": 1}, ("c",))
+    rounds, formulas = (40, 6) if lanes == 1 else (3, 4)
+    for _ in range(rounds):
+        base = helpers.random_model(r, sig, DomainCondition.VARYING)
+        models = [base, *lane_variants(r, base, sig, lanes - 1)]
+        view = packed_view(models)
+        n, full = len(base.worlds), (1 << len(base.worlds)) - 1
+        for _ in range(formulas):
+            formula = helpers.random_formula(r, sig, r.randint(1, 4))
+            packed = kripke._labeller(formula)(view)
+            for c, model in enumerate(models):
+                assert packed >> n * c & full == label_fml(model, formula), (formula, c)
+
+
+def test_lanes_walk_the_combinations_in_order_across_chunks():
+    # at one individual the lanes are the behaviours in order; at two they
+    # are the behaviours' combinations with replacement, in order, over
+    # several chunks, and a second walk reads the chunks the first packed
+    worlds, successors, unary = ("w1", "w2"), [0b11, 0b10], ["p", "q"]
+
+    def walk(universe):
+        chunks = kripke._lanes(
+            worlds, successors, universe, unary, DomainCondition.VARYING, None
+        )
+        lanes = []
+        for ones, exists, atoms in chunks():
+            view = kripke._View(successors, exists, atoms, {}, {}, ones)
+            for c in range(ones.bit_count()):
+                lane = view.lane(1 << len(worlds) * c)
+                lanes.append(
+                    tuple((lane.exists[x], *(lane.atoms[p, x] for p in unary)) for x in universe)
+                )
+        return lanes, chunks
+
+    behaviours = [b for (b,) in walk(("d1",))[0]]
+    assert len(behaviours) == 4 * 16
+    combinations, chunks = walk(("d1", "d2"))
+    assert len(combinations) > 4 * kripke._WIDTH
+    assert combinations == list(itertools.combinations_with_replacement(behaviours, 2))
+    assert all(a is b for a, b in zip(chunks(), chunks()))
+
+
+def test_search_takes_the_least_lane_before_the_earliest_fill():
+    # at 1x1, lane 0 (f nowhere) is refuted only with q true, the second
+    # fill of q, while lane 1 (f at w1) is refuted with q false, the first
+    # fill; plain brute force in candidate order (behaviours, then fills)
+    # meets lane 0 first, and so must the packed search
+    problem = qmf.parse_problem(
+        "qmf(con,conjecture,( ~ ( ( q & ( ! [X] : ( ~ ( f(X) ) ) ) )"
+        " | ( ~ ( q ) & ( ? [X] : ( f(X) ) ) ) ) ))."
+    )
+    cfg = config("k", "const")
+    result = find_countermodel(problem, cfg, SearchBounds(1, 1))
+    assert isinstance(result, Countermodel)
+    assert print_model(result.model) == "worlds: w1\nuniverse: d1\ndom w1: d1\npred q @ w1: ()\n"
+    later = parse_model("worlds: w1\nuniverse: d1\npred f @ w1: d1\n")
+    assert countermodel_violations(problem, cfg, Countermodel(later, "w1")) == ()
+
+
 def sparse_atoms(r, f: fml.Formula, pred: str, arity: int) -> fml.Formula:
     """f with each atom s(t) replaced by pred(t,...,t,t) or pred(t,...,t,c):
     the predicate is read only at diagonal tuples and at tuples ending in c."""
