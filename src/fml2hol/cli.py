@@ -250,6 +250,12 @@ def _run_eval(args, parser) -> int:
     config = _config_from_args(args, parser)
     problem = _parse_input(args.input)
     try:
+        # the embedded reading would take a reserved name for its own
+        embedding.check_names(problem)
+    except embedding.EmbeddingError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    try:
         model = kripke.parse_model(_read_text(args.model))
     except OSError as exc:
         print(f"cannot read {args.model}: {exc.strerror or exc}", file=sys.stderr)

@@ -504,6 +504,22 @@ def _reserved_names() -> tuple[frozenset[str], frozenset[str]]:
     )
 
 
+def check_names(problem: fml.Problem) -> None:
+    """Raise EmbeddingError if a user symbol, or a non-conjecture unit
+    name, is one the embedding generates under some configuration: the
+    HOL side would read such a symbol as the embedding's own."""
+    signature = problem.signature
+    reserved_symbols, reserved_units = _reserved_names()
+    conjecture_name, axiom_names = _problem_unit_names(signature)
+    reserved_units = reserved_units | {conjecture_name, *axiom_names.values()}
+    for sym in (*signature.predicates, *signature.functions, *signature.constants):
+        if sym in reserved_symbols:
+            raise EmbeddingError(f"user symbol '{sym}' collides with a reserved name")
+    for unit in problem.units:
+        if unit.role != "conjecture" and unit.name in reserved_units:
+            raise EmbeddingError(f"unit name '{unit.name}' collides with a reserved name")
+
+
 def embed_problem(problem: fml.Problem, config: TranslationConfig) -> EmbeddedProblem:
     """Translate a problem into an ordered HOL unit list.
 
@@ -514,27 +530,11 @@ def embed_problem(problem: fml.Problem, config: TranslationConfig) -> EmbeddedPr
     declared before use.  The conjecture is emitted under the fixed name
     'prove'; other units keep their names and roles (the 'definition'
     role becomes an axiom, since its payload is an assertion, not an
-    equation).  A user symbol or non-conjecture unit name that the
-    embedding generates under any configuration is rejected.
+    equation).  A problem that check_names rejects is rejected.
     """
+    check_names(problem)
     signature = problem.signature
-    reserved_symbols, reserved_units = _reserved_names()
-    conjecture_name, axiom_names = _problem_unit_names(signature)
-    reserved_units = reserved_units | {conjecture_name, *axiom_names.values()}
-
-    for sym in (
-        list(signature.predicates)
-        + list(signature.functions)
-        + list(signature.constants)
-    ):
-        if sym in reserved_symbols:
-            raise EmbeddingError(f"user symbol '{sym}' collides with a reserved name")
-    for unit in problem.units:
-        if unit.role != "conjecture" and unit.name in reserved_units:
-            raise EmbeddingError(
-                f"unit name '{unit.name}' collides with a reserved name"
-            )
-
+    conjecture_name, _ = _problem_unit_names(signature)
     grouped = list(_grouped_connectives(config))
     grouped.extend((LOGIC, unit) for unit in frame_axioms(config))
     for p, arity in signature.predicates.items():

@@ -41,8 +41,8 @@ become masks.  A search candidate is one lane of a packed view, never
 a KripkeModel: only the winner is built as one, and it is re-verified.
 Candidates are labelled a chunk at a time by bit-slicing (Biham, FSE
 1997), bit c*n + i standing for worlds[i] in lane c.  A candidate fills
-only the atoms that the units read, which one labelling pass per choice
-of constants and functions records.
+only the atoms that the units read, which one labelling pass per frame
+and choice of constants and functions finds.
 """
 
 from __future__ import annotations
@@ -627,7 +627,9 @@ def correspondence_check(
 ) -> bool:
     """Do the modal and the embedded reading agree at every world?
 
-    The formula must be closed.  Its embedding is expanded to a
+    The formula must be closed, and its symbols must pass
+    embedding.check_names: a reserved name would be read as the
+    embedding's own on the HOL side.  Its embedding is expanded to a
     definition-free beta-normal term of type $i > $o and evaluated over
     the model; the result must equal label_fml world by world.  A caller
     that has already labelled the formula passes the mask as ``truth``.
@@ -779,11 +781,12 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
 
     Only the slots that the units read are filled.  The labeller reads
     the same atoms whatever the frame, the existence masks and the atom
-    values, so that set is recorded once per choice of constants and
-    functions and shared by every frame.  An unread slot stays absent,
-    which reads as false, and changing it changes no label: the hits are
-    closed under changing unread slots, and the first hit of the full
-    product, which has every unread slot false, is the first hit here."""
+    values, so one labelling pass per frame and choice of constants and
+    functions finds them; only the packed behaviours outlive a frame.  An
+    unread slot stays absent, which reads as false, and changing it
+    changes no label: the hits are closed under changing unread slots,
+    and the first hit of the full product, which has every unread slot
+    false, is the first hit here."""
     unary = [p for p, k in sig.predicates.items() if k == 1]
     # each other predicate takes one world mask per tuple of arguments
     slots = [
@@ -802,8 +805,6 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
         for args in itertools.product(universe, repeat=arity)
     ]
     units = (goal, *assumptions)
-    # the read slots per constant/function choice, by its place in the product
-    reads: dict[int, list] = {}
     chunks = None
     for successors in frames:
         # with one lane there are 2^n sets, so every choice shares one table
@@ -812,13 +813,11 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
         if chunks is None or domain is DomainCondition.CUMULATIVE:
             chunks = _lanes(worlds, successors, universe, unary, domain, deadline)
         choices = itertools.product(universe, repeat=len(sig.constants) + len(entries))
-        for choice, values in enumerate(choices):
+        for values in choices:
             _check_deadline(deadline)
             consts = dict(zip(sig.constants, values))
             funcs = dict(zip(entries, values[len(sig.constants):]))
-            if choice not in reads:
-                reads[choice] = _read_slots(worlds, universe, consts, funcs, units, slots)
-            read = reads[choice]
+            read = _read_slots(worlds, universe, consts, funcs, units, slots)
             for ones, exists, atoms in chunks():
                 view = _View(successors, exists, dict(atoms), consts, funcs, ones)
                 if ones == 1:

@@ -140,6 +140,9 @@ class Include:
     def __post_init__(self):
         if not self.basename:
             raise ValueError("include mode needs a nonempty basename")
+        path = posixpath.join(self.axiom_dir, self.basename)
+        if not all(" " <= ch <= "~" for ch in path):
+            raise ValueError(f"include path {path!r} is not printable ASCII")
 
 
 EmissionMode = Inline | Include
@@ -149,6 +152,11 @@ EmissionMode = Inline | Include
 class EmittedOutput:
     problem_text: str
     axiom_files: tuple[tuple[str, str], ...] = ()
+
+
+def _quoted(path: str) -> str:
+    """A TPTP single-quoted atom: ' and \\ take a backslash."""
+    return "'" + path.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
 def _render(units, width: int) -> str:
@@ -175,7 +183,7 @@ def emit_problem(
     config = problem.config
     domain_path = posixpath.join(mode.axiom_dir, f"{mode.basename}_{config.domain.tag}.ax")
     logic_path = posixpath.join(mode.axiom_dir, f"{mode.basename}_{config.logic.tag}.ax")
-    header = f"include('{domain_path}').\ninclude('{logic_path}').\n"
+    header = f"include({_quoted(domain_path)}).\ninclude({_quoted(logic_path)}).\n"
     body = _render(split[None], width)
     problem_text = header + ("\n" + body if body else "")
     return EmittedOutput(

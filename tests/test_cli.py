@@ -491,6 +491,30 @@ def test_eval_rejects_uninterpreted_symbols(tmp_path, capsys):
     assert "function 'g' of the problem has no interpretation in the fixture" in captured.err
 
 
+@pytest.mark.parametrize(
+    "conjecture, fixture, fmt",
+    [
+        # the user's nullary mnot was unfolded into the definition of mnot
+        ("mnot", "pred mnot @ w1: ()\n", "thf:k:const"),
+        # the user's predicate was applied as the lifted quantifier
+        ("mforall_ind(a)", "const a = a\npred mforall_ind @ w1: a\n", "thf:k:const"),
+        # the user's predicate was read as the existence guard
+        ("exists_in_world(a)", "const a = a\n", "thf:k:vary"),
+    ],
+    ids=["mnot", "mforall_ind", "exists_in_world"],
+)
+def test_eval_rejects_reserved_names_as_translate_does(tmp_path, capsys, conjecture, fixture, fmt):
+    problem = tmp_path / "reserved.qmf"
+    problem.write_text(f"qmf(c,conjecture,( {conjecture} )).\n", encoding="utf-8")
+    model = tmp_path / "one.model"
+    model.write_text("worlds: w1\nrel: w1>w1\nuniverse: a\n" + fixture, encoding="utf-8")
+    assert main(["translate", str(problem), "-f", fmt, "-o", "-"]) == 1
+    expected = capsys.readouterr()
+    assert "collides with a reserved name" in expected.err
+    assert main(["eval", str(problem), "--model", str(model), "-f", fmt]) == 1
+    assert capsys.readouterr() == expected
+
+
 def test_eval_requires_conjecture(tmp_path, capsys):
     problem = tmp_path / "ax.qmf"
     problem.write_text("qmf(a,axiom,( p )).\n", encoding="utf-8")

@@ -784,22 +784,36 @@ def test_find_countermodel_timeout_while_listing_options(conjecture):
     assert time.monotonic() - start < 5
 
 
-def test_find_countermodel_walks_function_tables_without_listing_them():
-    # 3^27 tables of a ternary function at three individuals: listing them
-    # grows by megabytes within the budget, walking them lazily does not
+def ternary_function_search_peak(budget):
+    """The tracemalloc peak of a search over the 3^27 tables of a ternary
+    function at three individuals, run until the budget times it out."""
     problem = qmf.parse_problem(
         "qmf(con,conjecture,( ! [X,Y,Z] : ( p(h(X,Y,Z)) | ~ ( p(h(X,Y,Z)) ) ) ))."
     )
     tracemalloc.start()
     try:
         result = find_countermodel(
-            problem, config("k", "const"), SearchBounds(1, 3, time_budget=1)
+            problem, config("k", "const"), SearchBounds(1, 3, time_budget=budget)
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert isinstance(result, Timeout)
-    assert peak < 1 << 20
+    return peak
+
+
+def test_find_countermodel_walks_function_tables_without_listing_them():
+    # listing the tables grows by megabytes within the budget, walking
+    # them lazily does not
+    assert ternary_function_search_peak(1) < 1 << 20
+
+
+def test_search_memory_does_not_grow_with_its_budget():
+    # nothing the search keeps may grow with the choices it has visited;
+    # a first short run takes the process's one-off allocations
+    ternary_function_search_peak(0.1)
+    short, long = ternary_function_search_peak(0.5), ternary_function_search_peak(2)
+    assert long <= short + (64 << 10)
 
 
 def test_find_countermodel_fills_only_read_slots():

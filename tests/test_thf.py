@@ -246,6 +246,27 @@ def test_include_mode_requires_basename():
         thf.Include("ax", "")
 
 
+def test_include_lines_escape_quote_and_backslash():
+    # TPTP single-quoted atoms escape ' and \ with a backslash; the
+    # files themselves keep their plain names
+    out = thf.emit_problem(embed(E1, "k", "vary"), mode=thf.Include("x\\y", "it's"))
+    assert out.problem_text.splitlines()[:2] == [
+        "include('x\\\\y/it\\'s_vary.ax').",
+        "include('x\\\\y/it\\'s_k.ax').",
+    ]
+    assert [path for path, _ in out.axiom_files] == ["x\\y/it's_vary.ax", "x\\y/it's_k.ax"]
+
+
+@pytest.mark.parametrize(
+    "axiom_dir, basename",
+    [("ax", "café"), ("tab\there", "e1"), ("ax", "nl\n")],
+    ids=["non-ascii", "tab", "newline"],
+)
+def test_include_mode_rejects_non_printable_ascii(axiom_dir, basename):
+    with pytest.raises(ValueError, match="include path .* is not printable ASCII"):
+        thf.Include(axiom_dir, basename)
+
+
 def test_reread_roundtrip_all_configs():
     for logic in embedding.Logic:
         for domain in embedding.DomainCondition:
