@@ -18,6 +18,7 @@ domain condition; 64 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import re
@@ -147,22 +148,20 @@ def _config_from_args(args, parser: argparse.ArgumentParser) -> TranslationConfi
     return TranslationConfig(parse_logic(args.logic), parse_domain(args.domain))
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse, *errors):
+    """parse applied to the text of the file at path.  A read error
+    propagates as its OSError, and one of errors as a ValueError that
+    leads with the path."""
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        text = handle.read()
+    try:
+        return parse(text)
+    except errors as exc:
+        raise ValueError(f"{path}:{exc}") from None
 
 
 def _parse_input(path: str) -> fml.Problem:
-    try:
-        text = _read_text(path)
-    except OSError as exc:
-        print(f"cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from None
-    try:
-        return qmf.parse_problem(text)
-    except (qmf.ParseError, fml.ProblemError) as exc:
-        print(f"{path}:{exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT) from None
+    return _load(path, qmf.parse_problem, qmf.ParseError, fml.ProblemError)
 
 
 def _run_translate(args, parser) -> int:
@@ -178,11 +177,7 @@ def _run_translate(args, parser) -> int:
         mode = thf.Include(axiom_dir, basename)
     else:
         mode = thf.Inline()
-    try:
-        emitted = thf.emit_problem(embedding.embed_problem(problem, config), mode)
-    except embedding.EmbeddingError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
+    emitted = thf.emit_problem(embedding.embed_problem(problem, config), mode)
     out_dir = Path(".") if output == "-" else Path(output).parent
     try:
         for rel_path, text in emitted.axiom_files:
@@ -223,7 +218,8 @@ def _run_check(args, parser) -> int:
 
 def _signature_mismatches(given: fml.Signature, used: fml.Signature) -> list[str]:
     """The fixture's signature against the problem's: symbols it interprets
-    with another arity than the problem uses, then constants and functions
+    with another arity than the problem uses, predicates of the problem it
+    interprets as a function or a constant, then constants and functions
     of the problem it leaves out (the labelling evaluator reaches every
     term, so each would raise).  A predicate it leaves out is false."""
     arities = [
@@ -235,7 +231,13 @@ def _signature_mismatches(given: fml.Signature, used: fml.Signature) -> list[str
         for name, arity in ours.items()
         if theirs.get(name, arity) != arity
     ]
-    return arities + [
+    sorts = [
+        f"predicate '{name}' of the problem is a {kind} in the fixture"
+        for name in used.predicates
+        for kind, theirs in (("function", given.functions), ("constant", given.constants))
+        if name in theirs
+    ]
+    return arities + sorts + [
         f"{kind} '{name}' of the problem has no interpretation in the fixture"
         for kind, names, theirs in (
             ("constant", used.constants, given.constants),
@@ -249,20 +251,9 @@ def _signature_mismatches(given: fml.Signature, used: fml.Signature) -> list[str
 def _run_eval(args, parser) -> int:
     config = _config_from_args(args, parser)
     problem = _parse_input(args.input)
-    try:
-        # the embedded reading would take a reserved name for its own
-        embedding.check_names(problem)
-    except embedding.EmbeddingError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        model = kripke.parse_model(_read_text(args.model))
-    except OSError as exc:
-        print(f"cannot read {args.model}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_IO
-    except kripke.ModelError as exc:
-        print(f"{args.model}:{exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # the embedded reading would take a reserved name for its own
+    embedding.check_names(problem)
+    model = _load(args.model, kripke.parse_model, kripke.ModelError)
     violations = kripke.frame_violations(model, config.logic) + kripke.domain_violations(
         model, config.domain
     )
@@ -272,13 +263,10 @@ def _run_eval(args, parser) -> int:
         return EXIT_FIXTURE
     conjecture = problem.conjecture()
     if conjecture is None:
-        print("the problem has no conjecture to evaluate", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("the problem has no conjecture to evaluate")
     mismatches = _signature_mismatches(model.signature, problem.signature)
     if mismatches:
-        for message in mismatches:
-            print(message, file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("\n".join(mismatches))
     truth = kripke.label_fml(model, conjecture.formula)
     agrees = kripke.correspondence_check(model, conjecture.formula, config, truth=truth)
     for i, w in enumerate(model.worlds):
@@ -291,8 +279,7 @@ def _run_prover_cmd(args, parser) -> int:
     if "{file}" not in args.command:
         parser.error("the command template must contain a {file} placeholder")
     if not os.path.exists(args.input):
-        print(f"cannot read {args.input}: no such file", file=sys.stderr)
-        return EXIT_IO
+        raise FileNotFoundError(errno.ENOENT, "no such file", args.input)
     status = run_prover(args.input, args.command, args.timeout)
     if status.kind == "Error" and status.detail:
         print(status.detail, file=sys.stderr)
@@ -320,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="split the semantics into two axiom files referenced by include "
         "lines instead of inlining them (FML2HOL_AXIOM_DIR sets the directory)",
     )
+    p_translate.set_defaults(run=_run_translate)
 
     p_check = subparsers.add_parser("check", help="bounded countermodel search")
     p_check.add_argument("input", help="qmf problem file")
@@ -339,11 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit with code 3 when the time budget is exhausted",
     )
+    p_check.set_defaults(run=_run_check)
 
     p_eval = subparsers.add_parser("eval", help="evaluate a problem over a model fixture")
     p_eval.add_argument("input", help="qmf problem file")
     p_eval.add_argument("--model", required=True, help="model fixture file")
     _add_config_flags(p_eval)
+    p_eval.set_defaults(run=_run_eval)
 
     p_prover = subparsers.add_parser(
         "run-prover", help="run an external prover and parse its SZS status"
@@ -358,16 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         help="seconds before killing the prover and its process group (default 60)",
     )
+    p_prover.set_defaults(run=_run_prover_cmd)
 
     return parser
-
-
-_HANDLERS = {
-    "translate": _run_translate,
-    "check": _run_check,
-    "eval": _run_eval,
-    "run-prover": _run_prover_cmd,
-}
 
 
 # argparse keeps no state between parse_args calls, so one parser serves
@@ -376,10 +359,19 @@ _parser = cache(build_parser)
 
 
 def main(argv=None) -> int:
+    """Run the command line on argv (default sys.argv[1:]) and return its
+    exit code.  An unreadable, unparsable or invalid input ends here, as
+    its message on stderr and exit 2 or 1; only argparse raises
+    SystemExit, with 64 on a usage error."""
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args, parser)
+        return args.run(args, parser)
+    except OSError as exc:
+        if exc.filename is None:  # not a read: a closed stdout, say
+            raise
+        print(f"cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT

@@ -124,7 +124,7 @@ class TranslationConfig:
         return self.domain is not DomainCondition.CONSTANT
 
 
-class EmbeddingError(Exception):
+class EmbeddingError(ValueError):
     """A user name collides with the embedding's reserved vocabulary."""
 
 

@@ -182,18 +182,14 @@ def test_translate_include_mode_without_dir_env(tmp_path, monkeypatch, e1_path):
 def test_translate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.qmf"
     bad.write_text("qmf(a,axiom,( p $ q )).\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main(["translate", str(bad), "-f", "thf:d:const", "-o", "-"])
-    assert exc.value.code == 1
+    assert main(["translate", str(bad), "-f", "thf:d:const", "-o", "-"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(str(bad) + ":1:")
 
 
 def test_translate_missing_input(tmp_path, capsys):
     missing = str(tmp_path / "absent.qmf")
-    with pytest.raises(SystemExit) as exc:
-        main(["translate", missing, "-f", "thf:d:const", "-o", "-"])
-    assert exc.value.code == 2
+    assert main(["translate", missing, "-f", "thf:d:const", "-o", "-"]) == 2
     assert f"cannot read {missing}" in capsys.readouterr().err
 
 
@@ -511,6 +507,23 @@ def test_eval_rejects_uninterpreted_symbols(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "function 'g' of the problem has no interpretation in the fixture" in captured.err
+
+
+@pytest.mark.parametrize(
+    "entry, kind", [("fun p(a) = a", "function"), ("const p = a", "constant")]
+)
+def test_eval_rejects_a_predicate_the_fixture_reads_as_a_term(tmp_path, capsys, entry, kind):
+    problem = tmp_path / "pa.qmf"
+    problem.write_text("qmf(c,conjecture,( p(a) )).\n", encoding="utf-8")
+    fixture = tmp_path / "p.model"
+    fixture.write_text(
+        f"worlds: w1\nrel: w1>w1\nuniverse: a\nconst a = a\n{entry}\n", encoding="utf-8"
+    )
+    assert main(["eval", str(problem), "--model", str(fixture), "-f", "thf:k:const"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"predicate 'p' of the problem is a {kind} in the fixture\n",
+    )
 
 
 @pytest.mark.parametrize(
