@@ -770,9 +770,6 @@ _CONTRACT_FILES = {
     "pred f @ w1: a,a\nfun g(a,a) = a\n",
 }
 
-_USAGE = "usage: fml2hol [-h] {translate,check,eval,run-prover} ...\n"
-
-
 # Every input-error path of the command line, with its exit code and its
 # exact stderr; stdout stays empty.  {d} is the directory of the files above.
 @pytest.mark.parametrize(
@@ -811,7 +808,8 @@ _USAGE = "usage: fml2hol [-h] {translate,check,eval,run-prover} ...\n"
         (
             "translate {d}/e1.qmf -o -",
             64,
-            _USAGE + "fml2hol: error: a target is required: "
+            "usage: fml2hol [-h] {translate,check,eval,run-prover} ...\n"
+            "fml2hol: error: a target is required: "
             "-f thf:<logic>:<domain> or --logic and --domain\n",
         ),
         ("eval {d}/e1.qmf --model {d}/one.model -f thf:x7:const", 1, "unknown logic: x7\n"),
