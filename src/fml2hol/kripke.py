@@ -21,7 +21,8 @@ of that this module provides
 - countermodel_violations: why a model is not a countermodel of a problem,
 - find_countermodel: bounded search for a model refuting a conjecture,
   with one enumerator over frames rooted at w1 (every world reachable
-  from it, the conjecture refuted there),
+  from it, the conjecture refuted there), one frame per class under
+  renamings of the other worlds, from frames.py,
 - correspondence_check: per-world agreement of the two readings,
 - parse_model / print_model for the line-based fixture format.
 
@@ -31,13 +32,15 @@ existence guard appears at quantifiers only.
 
 Rooting loses nothing: a model refuting a formula at w restricts to the
 submodel generated by w, which keeps the frame and domain conditions and
-every truth value at w.  Individuals are enumerated up to renaming,
-whatever the signature.  Frame and domain conditions each have one
-definition over world masks, the violation generators that the search
-runs as filters and frame_violations and domain_violations run on a
-model's masks.  A KripkeModel carries those masks as its view, built
-once by the walk that validates it, the one place where a model's names
-become masks.  A search candidate is one lane of a packed view, never
+every truth value at w.  Frames are enumerated up to renaming of the
+worlds other than w1, and their lists are built once per process (see
+frames.py); individuals are enumerated up to renaming, whatever the
+signature.  Frame and domain conditions each have one definition over
+world masks, the violation generators (the frame one in frames.py) that
+the search runs as filters and frame_violations and domain_violations
+run on a model's masks.  A KripkeModel carries those masks as its view,
+built once by the walk that validates it, the one place where a model's
+names become masks.  A search candidate is one lane of a packed view, never
 a KripkeModel: only the winner is built as one, and it is re-verified.
 Candidates are labelled a chunk at a time by bit-slicing (Biham, FSE
 1997), bit c*n + i standing for worlds[i] in lane c.  A candidate fills
@@ -55,7 +58,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import embedding, fml, hol
-from .embedding import DomainCondition, FrameProperty, TranslationConfig, frame_properties
+from .embedding import DomainCondition, TranslationConfig
+from .frames import _frame_faults, _name_order, _pairs, _rooted
 
 _NAME = re.compile(r"\w+\Z")
 _EMPTY: frozenset = frozenset()
@@ -489,42 +493,6 @@ def eval_hol(model, term: hol.Term, environment=None):
     return go(term, {} if environment is None else dict(environment))
 
 
-@functools.lru_cache(maxsize=256)  # the search asks once per frame and vector
-def _name_order(worlds: tuple[str, ...]) -> tuple[int, ...]:
-    """World indices in world-name order, the order pairs are reported in."""
-    return tuple(sorted(range(len(worlds)), key=worlds.__getitem__))
-
-
-def _pairs(worlds, successors) -> list[tuple[int, int]]:
-    """The relation's pairs of world indices, in world-name order."""
-    order = _name_order(worlds)
-    return [(u, v) for u in order for v in order if successors[u] >> v & 1]
-
-
-def _frame_faults(worlds, successors, logic: embedding.Logic):
-    """Lazily yield frame_violations' messages from each world's successor mask."""
-    for prop in frame_properties(logic):
-        if prop is FrameProperty.SERIAL:
-            for i, w in enumerate(worlds):
-                if not successors[i]:
-                    yield f"not serial: {w} has no successor"
-        elif prop is FrameProperty.REFLEXIVE:
-            for i, w in enumerate(worlds):
-                if not successors[i] >> i & 1:
-                    yield f"not reflexive: missing {w}>{w}"
-        elif prop is FrameProperty.TRANSITIVE:
-            pairs = _pairs(worlds, successors)
-            for u, v in pairs:
-                for v2, w in pairs:
-                    if v2 == v and not successors[u] >> w & 1:
-                        u_, v_, w_ = worlds[u], worlds[v], worlds[w]
-                        yield f"not transitive: {u_}>{v_} and {v_}>{w_} but not {u_}>{w_}"
-        elif prop is FrameProperty.SYMMETRIC:
-            for u, v in _pairs(worlds, successors):
-                if not successors[v] >> u & 1:
-                    yield f"not symmetric: {worlds[u]}>{worlds[v]} but not {worlds[v]}>{worlds[u]}"
-
-
 def frame_violations(model, logic: embedding.Logic) -> tuple[str, ...]:
     """Violation messages, one per offending world or pair; empty if none."""
     return tuple(_frame_faults(model.worlds, model.view.successors, logic))
@@ -681,29 +649,6 @@ class _Deadline(Exception):
 def _check_deadline(deadline):
     if deadline is not None and time.monotonic() > deadline:
         raise _Deadline
-
-
-def _relations(worlds, logic: embedding.Logic, deadline) -> list[list[int]]:
-    """The frames rooted at worlds[0] that meet the frame conditions, as
-    successor lists, in the order of their masks over all pairs of worlds:
-    bits n*i .. n*i+n-1 of a mask are the successors of worlds[i]."""
-    n = len(worlds)
-    full = (1 << n) - 1
-    out = []
-    for mask in range(2 ** (n * n)):
-        # most masks are filtered out, so the budget is checked per mask
-        _check_deadline(deadline)
-        successors = [mask >> n * i & full for i in range(n)]
-        # the worlds reachable from worlds[0]: passes until nothing is added
-        seen, last = 1, 0
-        while seen != last:
-            last = seen
-            for i, succ in enumerate(successors):
-                if seen >> i & 1:
-                    seen |= succ
-        if seen == full and not any(_frame_faults(worlds, successors, logic)):
-            out.append(successors)
-    return out
 
 
 _WIDTH = 512  # lanes per labelling pass
@@ -879,10 +824,14 @@ def find_countermodel(
     enumerated: a model refuting the conjecture at w restricts to the
     submodel generated by w, which keeps every frame and domain condition
     and every verdict there, so neither the answer nor the smallest size
-    changes.  Individuals are enumerated up to renaming, whatever the
-    signature: their behaviors are taken as a multiset, and everything
-    else is enumerated in full over it.  Each unit is compiled once into
-    a labeller, and a candidate is tested by labelling: the conjecture's
+    changes.  Of the frames that a renaming of w2..wn maps onto each
+    other, only the one with the least mask is walked, and the frames of
+    each world count are built once per process and logic (frames._rooted):
+    the first frame with a hit is always the least of its class, so the
+    printed model does not change either.  Individuals are enumerated up
+    to renaming, whatever the signature: their behaviors are taken as a
+    multiset, and everything else is enumerated in full over it.  Each
+    unit is compiled once into a labeller, and a candidate is tested by labelling: the conjecture's
     mask must miss w1 and every assumption's must hold every world.
     Candidates that share a frame and a choice of constants and functions
     are labelled together, one per lane, in chunks of at most _WIDTH; the
@@ -905,10 +854,11 @@ def find_countermodel(
     assumptions = tuple(_labeller(u.formula) for u in problem.units if u.role != "conjecture")
     goal = _labeller(conjecture.formula)
     deadline = None if bounds.time_budget is None else time.monotonic() + bounds.time_budget
+    tick = functools.partial(_check_deadline, deadline)
     try:
         for n_worlds in range(1, bounds.max_worlds + 1):
             worlds = tuple(f"w{i}" for i in range(1, n_worlds + 1))
-            frames = _relations(worlds, config.logic, deadline)
+            frames = _rooted(n_worlds, config.logic, tick)
             for n_indiv in range(1, bounds.max_individuals + 1):
                 universe = tuple(f"d{i}" for i in range(1, n_indiv + 1))
                 model = _search(

@@ -1,6 +1,7 @@
 """Model invariants, both evaluators, structure checks, and bounded search."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import time
@@ -9,7 +10,7 @@ import tracemalloc
 import pytest
 
 import helpers
-from fml2hol import embedding, fml, hol, kripke, qmf
+from fml2hol import embedding, fml, frames, hol, kripke, qmf
 from fml2hol.embedding import DomainCondition, Logic, TranslationConfig
 from fml2hol.kripke import (
     Countermodel,
@@ -387,27 +388,100 @@ def test_frame_violation_messages():
     assert "not symmetric: u>v but not v>u" in frame_violations(chain, Logic.S5)
 
 
+@functools.cache
+def plain_frames(n: int, logic: Logic) -> tuple[tuple[int, ...], ...]:
+    """All relations over w1..wn rooted at w1 that meet the definitions,
+    renamings included, in mask order, as successor masks (bit j of entry
+    i: worlds[i] sees worlds[j])."""
+    worlds = tuple(f"w{i}" for i in range(1, n + 1))
+    kept = []
+    for rel in helpers.all_relations(worlds):
+        reached, frontier = {"w1"}, ["w1"]
+        while frontier:
+            u = frontier.pop()
+            for v in worlds:
+                if (u, v) in rel and v not in reached:
+                    reached.add(v)
+                    frontier.append(v)
+        if len(reached) == n and helpers.frame_oracle(worlds, rel)[logic]:
+            kept.append(
+                tuple(sum(1 << j for j, v in enumerate(worlds) if (u, v) in rel) for u in worlds)
+            )
+    return tuple(kept)
+
+
+def frame_mask(frame) -> int:
+    """The frame's mask over all pairs: bits n*i .. n*i+n-1 are frame[i]."""
+    return sum(succ << len(frame) * i for i, succ in enumerate(frame))
+
+
+def renamings(frame) -> set:
+    """The frame under every renaming of w2..wn, w1 fixed, itself included."""
+    n = len(frame)
+    out = set()
+    for rest in itertools.permutations(range(1, n)):
+        to = (0, *rest)
+        renamed = [0] * n
+        for i, succ in enumerate(frame):
+            renamed[to[i]] = sum(1 << to[j] for j in range(n) if succ >> j & 1)
+        out.add(tuple(renamed))
+    return out
+
+
+# rooted frames at 4 worlds up to renaming of w2..w4, counted by a plain
+# filter over all 2^16 relations
+FRAME_CLASSES_AT_4 = {
+    Logic.K: 6752,
+    Logic.D: 5856,
+    Logic.T: 440,
+    Logic.K4: 89,
+    Logic.D4: 40,
+    Logic.S4: 14,
+    Logic.S5: 1,
+}
+
+
 def test_frame_enumerator_matches_plain_filter():
     # the search's frames, in its order (which decides the countermodel
-    # printed), against all relations rooted at w1 that meet the
-    # definitions, as successor masks (bit j of entry i: worlds[i] sees worlds[j])
+    # printed): of the plain filter's frames exactly those least of their
+    # class under renamings of w2..wn, and every plain frame is a renaming
+    # of exactly one of them
     for n in (1, 2, 3):
-        worlds = tuple(f"w{i}" for i in range(1, n + 1))
         for logic in Logic:
-            expected = []
-            for rel in helpers.all_relations(worlds):
-                reached, frontier = {"w1"}, ["w1"]
-                while frontier:
-                    u = frontier.pop()
-                    for v in worlds:
-                        if (u, v) in rel and v not in reached:
-                            reached.add(v)
-                            frontier.append(v)
-                if len(reached) == n and helpers.frame_oracle(worlds, rel)[logic]:
-                    expected.append(
-                        [sum(1 << j for j, v in enumerate(worlds) if (u, v) in rel) for u in worlds]
-                    )
-            assert kripke._relations(worlds, logic, None) == expected, (n, logic)
+            plain = plain_frames(n, logic)
+            least = tuple(f for f in plain if frame_mask(f) == min(map(frame_mask, renamings(f))))
+            got = frames._rooted(n, logic, lambda: None)
+            assert got == least, (n, logic)
+            classes = [renamings(f) for f in got]
+            for f in plain:
+                assert sum(f in copies for copies in classes) == 1, (n, logic, f)
+    for logic, count in FRAME_CLASSES_AT_4.items():
+        assert len(frames._rooted(4, logic, lambda: None)) == count, logic
+
+
+def test_frames_cached_only_once_their_walk_completes(monkeypatch):
+    # a search whose deadline fires while the 4-world frames are built
+    # leaves no cache entry, and the next search builds the full list
+    monkeypatch.setattr(frames, "_CACHE", {})
+    rooted, ticks = kripke._rooted, itertools.count()
+
+    def interrupted(n, logic, tick):
+        def late():
+            tick()
+            if n == 4 and next(ticks) == 1000:
+                raise kripke._Deadline
+
+        return rooted(n, logic, late)
+
+    problem = qmf.parse_problem("qmf(con,conjecture,( p | ~ ( p ) )).")
+    with monkeypatch.context() as patch:
+        patch.setattr(kripke, "_rooted", interrupted)
+        result = find_countermodel(problem, config("k", "const"), SearchBounds(4, 1))
+    assert isinstance(result, Timeout)
+    assert set(frames._CACHE) == {(n, Logic.K) for n in (1, 2, 3)}
+    result = find_countermodel(problem, config("k", "const"), SearchBounds(4, 1))
+    assert isinstance(result, NoCountermodelWithinBounds)
+    assert len(frames._CACHE[4, Logic.K]) == FRAME_CLASSES_AT_4[Logic.K]
 
 
 def test_frame_monotonicity_chain():
@@ -1209,6 +1283,35 @@ def test_countermodel_digests():
                 digest.update(type(result).__name__.encode())
         got[cfg.name] = digest.hexdigest()
     assert got == COUNTERMODEL_DIGESTS
+
+
+# refuted at 2 worlds under K and D and at 3 under T; valid on transitive frames
+DIAMOND_CHAIN = qmf.parse_problem(
+    "qmf(con,conjecture,( ( #dia : ( #dia : ( #dia : ( p ) ) ) ) => ( #dia : ( p ) ) ))."
+)
+
+
+def test_search_prints_the_same_countermodels_on_all_frames(monkeypatch):
+    # the search on every rooted frame, renamings included, against the
+    # search on the least frame of each class: at sizes where w2..wn can be
+    # renamed, the same printed countermodel or the same result type
+    configs = [TranslationConfig(l, d) for l, d in itertools.product(Logic, DomainCondition)]
+    cases = [*differential_corpus(2211, 84), *((DIAMOND_CHAIN, cfg) for cfg in configs)]
+
+    def outcomes():
+        for bounds in ((3, 1), (3, 2), (4, 1)):
+            for problem, cfg in cases:
+                result = find_countermodel(problem, cfg, SearchBounds(*bounds))
+                if isinstance(result, Countermodel):
+                    yield print_model(result.model)
+                else:
+                    yield type(result).__name__
+
+    least = list(outcomes())
+    monkeypatch.setattr(kripke, "_rooted", lambda n, logic, tick: plain_frames(n, logic))
+    assert list(outcomes()) == least
+    # renamings exist from 3 worlds on, so the comparison must reach them
+    assert sum(text.startswith("worlds: w1 w2 w3") for text in least) >= 10
 
 
 def test_countermodels_reverify_over_fuzz():
