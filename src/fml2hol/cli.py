@@ -150,13 +150,12 @@ def _config_from_args(args, parser: argparse.ArgumentParser) -> TranslationConfi
 
 def _load(path: str, parse, *errors):
     """parse applied to the text of the file at path.  A read error
-    propagates as its OSError, and one of errors as a ValueError that
-    leads with the path."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    propagates as its OSError; text that is not UTF-8, or one of errors,
+    as a ValueError that leads with the path."""
     try:
-        return parse(text)
-    except errors as exc:
+        with open(path, encoding="utf-8") as handle:
+            return parse(handle.read())
+    except (UnicodeDecodeError, *errors) as exc:
         raise ValueError(f"{path}:{exc}") from None
 
 

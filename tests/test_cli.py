@@ -1,15 +1,19 @@
 """End-to-end command-line behavior, exit codes, and SZS plumbing."""
 
 import itertools
+import os
+import pathlib
 import re
 import shlex
 import stat
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import fml2hol
 from fml2hol import cli, fml, kripke, qmf
 from fml2hol.cli import SzsStatus, main, parse_szs, run_prover
 from fml2hol.embedding import DomainCondition, Logic, TranslationConfig
@@ -740,6 +744,19 @@ def test_run_prover_function_splits_shell_style(tmp_path):
     assert status == SzsStatus("Theorem")
 
 
+def test_python_m_fml2hol_runs_the_command_line_without_warnings():
+    # python -m fml2hol.cli makes runpy warn on every run: the package has
+    # imported cli before runpy executes it
+    src = str(pathlib.Path(fml2hol.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fml2hol", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: fml2hol ")
+
+
 def test_exit_code_constants():
     assert (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_IO) == (0, 1, 2)
     assert (cli.EXIT_TIMEOUT, cli.EXIT_FIXTURE, cli.EXIT_USAGE) == (3, 4, 64)
@@ -765,6 +782,8 @@ _CONTRACT_FILES = {
     "deep.qmf": "qmf(con,conjecture,( " + "~ " * 3000 + "p )).\n",
     "one.model": "worlds: w1\nrel: w1>w1\nuniverse: a\n",
     "bad.model": "worlds: w1\nuniverse: a\nwat\n",
+    "latin.qmf": b"\xffqmf(con,conjecture,( p )).\n",
+    "latin.model": b"worlds: w1\nuniverse: \xff\n",
     "empty.model": "worlds: w1\nuniverse: a\ndom w1:\n",
     "sig.model": "worlds: w1\nrel: w1>w1\nuniverse: a\nconst d = a\n"
     "pred f @ w1: a,a\nfun g(a,a) = a\n",
@@ -804,6 +823,18 @@ _CONTRACT_FILES = {
             "eval {d}/e1.qmf --model {d}/bad.model -f thf:k:const",
             1,
             "{d}/bad.model:line 3: unrecognized line 'wat'\n",
+        ),
+        (
+            "translate {d}/latin.qmf -f thf:k:const -o -",
+            1,
+            "{d}/latin.qmf:'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n",
+        ),
+        (
+            "eval {d}/e1.qmf --model {d}/latin.model -f thf:k:const",
+            1,
+            "{d}/latin.model:'utf-8' codec can't decode byte 0xff in position 21: "
+            "invalid start byte\n",
         ),
         (
             "translate {d}/e1.qmf -o -",
@@ -855,6 +886,8 @@ _CONTRACT_FILES = {
         "missing-prover-input",
         "problem-parse-error",
         "fixture-parse-error",
+        "problem-not-utf8",
+        "fixture-not-utf8",
         "absent-target",
         "unknown-target",
         "reserved-name-translate",
@@ -870,6 +903,6 @@ def test_input_error_contract(tmp_path, monkeypatch, capsys, argv, code, err):
     # argparse wraps its usage line to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
     for name, text in _CONTRACT_FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     argv = [part.replace("{d}", str(tmp_path)) for part in shlex.split(argv)]
     assert _exit_code_and_output(capsys, argv) == (code, "", err.replace("{d}", str(tmp_path)))
