@@ -9,7 +9,7 @@ of that this module provides
   (bit i is worlds[i]), by bottom-up labelling as in model checking
   (Clarke, Emerson & Sistla, TOPLAS 1986): each formula is compiled once
   into a labeller, connectives become &, | and complement against the
-  full mask, boxes lookups in one table over world sets (diamonds read
+  full mask, boxes lookups in the view's table over world sets (diamonds read
   it through their dual), and quantifiers folds over the universe masked
   by each individual's existence worlds (quantifiers range over the
   world's domain, boxes over accessible worlds),
@@ -199,14 +199,32 @@ class KripkeModel:
         object.__setattr__(self, "view", _View(successors, exists, atoms, self.consts, self.funcs))
 
 
-class _Image(dict):
-    """The box table over world masks: box[S] holds the worlds whose
-    successors all lie in S, lane by lane (ones has bit c*n of each lane
-    c set).  Each entry is computed on first use and kept."""
+class _View(dict):
+    """What a labeller reads of a model.  A set of worlds is an int mask,
+    bit i standing for worlds[i]: full holds every world, successors[i]
+    the successors of worlds[i], exists[x] the worlds where x exists,
+    atoms[(pred, *args)] the worlds where the atom holds (no entry:
+    nowhere); consts and funcs denote rigidly.  The view is its own box
+    table: view[S] holds the worlds whose successors all lie in S
+    (diamonds read it through their dual, as the emitted mdia_<logic> is
+    defined), each entry computed on first use and kept.  A KripkeModel
+    builds its own view once.  A packed view holds one candidate per lane
+    of n bits on one frame: bit c*n + i is worlds[i] in lane c (ones has
+    bit c*n of each lane c set), and full, the table, exists and atoms
+    span every lane; lane() reads one out.  The attributes are slots: a
+    dict subclass would otherwise carry a __dict__ of its own, and the
+    labeller reads full, exists and atoms in its innermost loops."""
 
-    def __init__(self, successors: list[int], ones: int = 1):
+    __slots__ = ("full", "successors", "ones", "exists", "atoms", "consts", "funcs")
+
+    def __init__(self, successors: list[int], exists, atoms, consts, funcs, ones=1):
+        self.full = ((1 << len(successors)) - 1) * ones
         self.successors = successors
         self.ones = ones
+        self.exists = exists
+        self.atoms = atoms
+        self.consts = consts
+        self.funcs = funcs
 
     def __missing__(self, s: int) -> int:
         mask = 0
@@ -219,31 +237,9 @@ class _Image(dict):
         self[s] = mask
         return mask
 
-
-class _View:
-    """What a labeller reads of a model.  A set of worlds is an int mask,
-    bit i standing for worlds[i]: full holds every world, successors[i]
-    the successors of worlds[i], box[S] the worlds whose successors all
-    lie in S (diamonds read it through their dual, as the emitted
-    mdia_<logic> is defined), exists[x] the worlds where x exists,
-    atoms[(pred, *args)] the worlds where the atom holds (no entry:
-    nowhere); consts and funcs denote rigidly.  A KripkeModel builds its
-    own view once.  A packed view holds one candidate per lane of n bits
-    on one frame: bit c*n + i is worlds[i] in lane c, and full, box,
-    exists and atoms span every lane; lane() reads one out."""
-
-    def __init__(self, successors: list[int], exists, atoms, consts, funcs, ones=1):
-        self.full = ((1 << len(successors)) - 1) * ones
-        self.successors = successors
-        self.box = _Image(successors, ones)
-        self.exists = exists
-        self.atoms = atoms
-        self.consts = consts
-        self.funcs = funcs
-
     def lane(self, bit):
         """The one-lane view of the lane whose first world is this bit."""
-        full = (1 << len(self.successors)) - 1
+        full = self.full // self.ones
         masks = ({k: m // bit & full for k, m in d.items()} for d in (self.exists, self.atoms))
         return _View(self.successors, *masks, self.consts, self.funcs)
 
@@ -327,10 +323,10 @@ def _labeller(formula: fml.Formula):
             return lambda v, env: (v.full ^ left(v, env)) | right(v, env)
         if isinstance(f, fml.Box):
             body = compile(f.body, scope)
-            return lambda v, env: v.box[body(v, env)]
+            return lambda v, env: v[body(v, env)]
         if isinstance(f, fml.Dia):
             body = compile(f.body, scope)
-            return lambda v, env: v.full ^ v.box[v.full ^ body(v, env)]
+            return lambda v, env: v.full ^ v[v.full ^ body(v, env)]
         if isinstance(f, (fml.Forall, fml.Exists)):
             slot = next(slots)
             body = compile(f.body, {**scope, f.var: slot})
@@ -402,30 +398,27 @@ def _peel(t: hol.Type) -> tuple[list[hol.Type], hol.Type]:
     return args, t
 
 
-def _curried(arity: int, finish):
-    def build(acc):
-        if len(acc) == arity:
-            return finish(acc)
-        return lambda v: build(acc + (v,))
-
-    return build(())
+def _curried(arity: int, finish, acc=()):
+    """finish(args) once there are arity args, the ones after acc taken one per call."""
+    if len(acc) == arity:
+        return finish(acc)
+    return lambda v: _curried(arity, finish, acc + (v,))
 
 
 def _const_value(model, const: hol.Const):
     # names are compared first: this runs for every constant evaluated
-    guard = embedding.EXISTS_IN_WORLD
-    if const.name == guard.name and const == guard:
+    name, guard = const.name, embedding.EXISTS_IN_WORLD
+    if name == guard.name and const == guard:
         return _curried(2, lambda a: a[0] in model.dom[a[1]])
-    if _RELATIONS.get(const.name) == const:
+    if _RELATIONS.get(name) == const:
         return _curried(2, lambda a: (a[0], a[1]) in model.rel)
     args, result = _peel(const.type)
     if const.type == hol.INDIV:
         try:
-            return model.consts[const.name]
+            return model.consts[name]
         except KeyError:
-            raise UnknownSymbolError(const.name) from None
+            raise UnknownSymbolError(name) from None
     if result == hol.INDIV and all(a == hol.INDIV for a in args):
-        name = const.name
 
         def call_func(acc):
             try:
@@ -440,10 +433,9 @@ def _const_value(model, const: hol.Const):
         and args[-1] == hol.WORLD
         and all(a == hol.INDIV for a in args[:-1])
     ):
-        name = const.name
         k = len(args) - 1
         return _curried(len(args), lambda a: a[:k] in model.preds.get((name, a[k]), _EMPTY))
-    raise UnknownSymbolError(const.name)
+    raise UnknownSymbolError(name)
 
 
 def eval_hol(model, term: hol.Term, environment=None):
@@ -455,42 +447,47 @@ def eval_hol(model, term: hol.Term, environment=None):
     NonFiniteTypeError (the embedding never produces one after expansion).
     """
 
-    def domain_of(t: hol.Type):
-        if t == hol.TRUTH:
-            return _TRUTH_VALUES
-        if t == hol.WORLD:
-            return model.worlds
-        if t == hol.INDIV:
-            return model.universe
-        raise NonFiniteTypeError(hol.print_type(t))
+    return _eval(model, term, dict(environment or ()))
 
-    def go(t: hol.Term, env):
-        if isinstance(t, hol.Var):
-            try:
-                return env[t.name]
-            except KeyError:
-                raise UnboundVariableError(t.name) from None
-        if isinstance(t, hol.Const):
-            return _const_value(model, t)
-        if isinstance(t, hol.App):
-            return go(t.fun, env)(go(t.arg, env))
-        if isinstance(t, hol.Lambda):
-            return lambda v: go(t.body, {**env, t.var: v})
-        if isinstance(t, hol.Forall):
-            return all(go(t.body, {**env, t.var: v}) for v in domain_of(t.var_type))
-        if isinstance(t, hol.Exists):
-            return any(go(t.body, {**env, t.var: v}) for v in domain_of(t.var_type))
-        if isinstance(t, hol.Not):
-            return not go(t.body, env)
-        if isinstance(t, hol.And):
-            return go(t.left, env) and go(t.right, env)
-        if isinstance(t, hol.Or):
-            return go(t.left, env) or go(t.right, env)
-        if isinstance(t, hol.Implies):
-            return not go(t.left, env) or go(t.right, env)
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(term, {} if environment is None else dict(environment))
+# module-level and called by name, never through a closure of their own: a
+# function that calls itself through its closure cell is a reference cycle,
+# which would keep the model it holds until the cycle collector runs
+def _domain(model, t: hol.Type):
+    if t == hol.TRUTH:
+        return _TRUTH_VALUES
+    if t == hol.WORLD:
+        return model.worlds
+    if t == hol.INDIV:
+        return model.universe
+    raise NonFiniteTypeError(hol.print_type(t))
+
+
+def _eval(model, t: hol.Term, env):
+    if isinstance(t, hol.Var):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise UnboundVariableError(t.name) from None
+    if isinstance(t, hol.Const):
+        return _const_value(model, t)
+    if isinstance(t, hol.App):
+        return _eval(model, t.fun, env)(_eval(model, t.arg, env))
+    if isinstance(t, hol.Lambda):
+        return lambda v: _eval(model, t.body, {**env, t.var: v})
+    if isinstance(t, hol.Forall):
+        return all(_eval(model, t.body, {**env, t.var: v}) for v in _domain(model, t.var_type))
+    if isinstance(t, hol.Exists):
+        return any(_eval(model, t.body, {**env, t.var: v}) for v in _domain(model, t.var_type))
+    if isinstance(t, hol.Not):
+        return not _eval(model, t.body, env)
+    if isinstance(t, hol.And):
+        return _eval(model, t.left, env) and _eval(model, t.right, env)
+    if isinstance(t, hol.Or):
+        return _eval(model, t.left, env) or _eval(model, t.right, env)
+    if isinstance(t, hol.Implies):
+        return not _eval(model, t.left, env) or _eval(model, t.right, env)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def frame_violations(model, logic: embedding.Logic) -> tuple[str, ...]:
@@ -741,6 +738,7 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
         for args in itertools.product(universe, repeat=k)
     ]
     n = len(worlds)
+    full = (1 << n) - 1
     # one cell per constant, then per function entry in argument order: a
     # choice is a value per cell, from a lazy product, never listed (a
     # ternary function at 3 individuals has 3^27 tables)
@@ -752,8 +750,6 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
     units = (goal, *assumptions)
     chunks = None
     for successors in frames:
-        # with one lane there are 2^n sets, so every choice shares one table
-        lone = _Image(successors)
         # behaviours depend on the frame through the cumulative clause only
         if chunks is None or domain is DomainCondition.CUMULATIVE:
             chunks = _lanes(worlds, successors, universe, unary, domain, deadline)
@@ -765,8 +761,6 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
             read = _read_slots(worlds, universe, consts, funcs, units, slots)
             for ones, exists, atoms in chunks():
                 view = _View(successors, exists, dict(atoms), consts, funcs, ones)
-                if ones == 1:
-                    view.box = lone
                 # the least lane with a hit, at its first hit: lanes run in
                 # candidate order, and a fill is the same in every lane
                 alive, below, winner = ones, -1, None
@@ -780,12 +774,14 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
                             hits &= holds >> i
                     while hits:
                         low = hits & -hits
-                        lane = view.lane(low)
-                        if any(_interpretation_faults(worlds, lane.exists, consts, funcs)):
+                        # the existence masks decide; only a winner is read
+                        # out whole, at the fill it is hit at
+                        there = {x: m // low & full for x, m in view.exists.items()}
+                        if any(_interpretation_faults(worlds, there, consts, funcs)):
                             alive ^= low
                             hits ^= low
                         else:
-                            below, winner, hits = low - 1, lane, 0
+                            below, winner, hits = low - 1, view.lane(low), 0
                     if not alive & below:
                         break
                 if winner is not None:

@@ -2,10 +2,12 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -109,6 +111,27 @@ def test_model_validation_errors():
         )
     with pytest.raises(ModelError, match="unknown individuals"):
         KripkeModel(("w",), frozenset(), ("a",), dom, preds={("p", "w"): frozenset({("z",)})})
+    exact = {
+        "bad identifier 'w-1'": lambda: KripkeModel(("w-1",), (), ("a",), {"w-1": ()}),
+        "duplicate individual": lambda: KripkeModel(("w",), (), ("a", "a"), dom),
+        "domain for unknown world v": lambda: KripkeModel(
+            ("w",), (), ("a",), {**dom, "v": frozenset()}
+        ),
+        "bad constant name 'c-1'": lambda: KripkeModel(("w",), (), ("a",), dom, {"c-1": "a"}),
+        "bad function name 'g-1'": lambda: KripkeModel(
+            ("w",), (), ("a",), dom, funcs={("g-1", ("a",)): "a"}
+        ),
+        "bad predicate name 'p-1'": lambda: KripkeModel(
+            ("w",), (), ("a",), dom, preds={("p-1", "w"): frozenset({()})}
+        ),
+        "function entry g('z',) leaves the universe": lambda: KripkeModel(
+            ("w",), (), ("a",), dom, funcs={("g", ("z",)): "a"}
+        ),
+    }
+    for message, build in exact.items():
+        with pytest.raises(ModelError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 def test_eval_box_on_reflexive_world():
@@ -356,6 +379,25 @@ def test_correspondence_on_fixture():
     assert correspondence_check(E1_FIXTURE, E1_BODY, cfg)
     lifted = eval_hol(E1_FIXTURE, embed_applied(E1_BODY, cfg))
     assert lifted("w") is False
+
+
+@pytest.mark.parametrize("domain", tuple(DomainCondition), ids=lambda d: d.tag)
+def test_model_is_freed_without_the_cycle_collector(domain):
+    # labelling and HOL evaluation leave no reference cycle that holds the
+    # model, so its memory returns when the last reference goes, not when
+    # the cycle collector happens to run; the domains are constant, so
+    # the two readings agree under every domain condition
+    text = "worlds: w v\nrel: w>v\nuniverse: a b\npred f @ w: a\npred f @ v: a b\n"
+    gc.disable()
+    try:
+        model = parse_model(text)
+        label_fml(model, E1_BODY)
+        assert correspondence_check(model, E1_BODY, TranslationConfig(Logic.K, domain))
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_frame_check_examples():
@@ -1428,6 +1470,20 @@ def test_parse_model_errors_carry_line_numbers():
         parse_model("universe: a\n")
     with pytest.raises(ModelError, match="missing universe"):
         parse_model("worlds: w\n")
+    head = "worlds: w\nuniverse: a\n"
+    exact = {
+        "worlds: w\nuniverse: a\nuniverse: b\n": "line 3: universe line given twice",
+        head + "dom w a\n": "line 3: bad dom line (expected 'dom <world>: members')",
+        head + "dom : a\n": "line 3: bad dom line (expected 'dom <world>: members')",
+        head + "const c = a\nconst c = a\n": "line 4: const c given twice",
+        head + "fun g(a,) = a\n": "line 3: bad argument list 'a,'",
+        head + "fun g(a) = a\nfun g(a) = a\n": "line 4: fun g(a) given twice",
+        head + "pred f @ w: a,,a\n": "line 3: bad predicate entry 'a,,a'",
+    }
+    for text, message in exact.items():
+        with pytest.raises(ModelError) as caught:
+            parse_model(text)
+        assert str(caught.value) == message
 
 
 def test_print_model_round_trip_fuzz():
