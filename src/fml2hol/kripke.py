@@ -519,26 +519,30 @@ def _existence_faults(worlds, successors, exists, domain: DomainCondition):
                     yield f"not cumulative: {x} exists at {a} but not at {b} despite {a}>{b}"
 
 
-def _interpretation_faults(worlds, exists, consts, funcs):
+def _interpretation_faults(worlds, exists, consts, funcs, ones=1):
     """The non-emptiness, designation and closure clauses, given the worlds
-    where each individual exists (bit i of a mask is worlds[i])."""
+    where each individual exists, in every lane at once: bit c*n + i of a
+    mask is worlds[i] in lane c, and ones has bit c*n of each lane c set,
+    so a model is the one lane of ones=1.  Per clause and per world,
+    yields (lanes, message), lanes the mask of the lanes that fail the
+    clause at that world (bit c*n for lane c), whenever it is nonzero."""
     somebody = functools.reduce(int.__or__, exists.values(), 0)
     for i, w in enumerate(worlds):
-        if not somebody >> i & 1:
-            yield f"non-emptiness violated: dom({w}) is empty"
+        if lanes := ~somebody >> i & ones:
+            yield lanes, f"non-emptiness violated: dom({w}) is empty"
     for name in sorted(consts):
         val = consts[name]
         for i, w in enumerate(worlds):
-            if not exists[val] >> i & 1:
-                yield f"undesignated constant: {name} = {val} is not in dom({w})"
+            if lanes := ~exists[val] >> i & ones:
+                yield lanes, f"undesignated constant: {name} = {val} is not in dom({w})"
     for name, args in sorted(funcs):
         val = funcs[(name, args)]
-        inside = (1 << len(worlds)) - 1
+        inside = ((1 << len(worlds)) - 1) * ones
         for a in args:
             inside &= exists[a]
         for i, w in enumerate(worlds):
-            if inside >> i & 1 and not exists[val] >> i & 1:
-                yield f"unclosed function: {name}({','.join(args)}) = {val} leaves dom({w})"
+            if lanes := (inside & ~exists[val]) >> i & ones:
+                yield lanes, f"unclosed function: {name}({','.join(args)}) = {val} leaves dom({w})"
 
 
 def domain_violations(model, domain: DomainCondition) -> tuple[str, ...]:
@@ -554,7 +558,7 @@ def domain_violations(model, domain: DomainCondition) -> tuple[str, ...]:
     if domain is DomainCondition.CONSTANT:
         return tuple(existence)
     interpretation = _interpretation_faults(worlds, view.exists, view.consts, view.funcs)
-    return (*interpretation, *existence)
+    return (*(message for _, message in interpretation), *existence)
 
 
 def check_domains(model, domain: DomainCondition) -> bool:
@@ -719,7 +723,10 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
     (each rooted at worlds[0]), that refutes the goal there; None if there
     is none.  The goal and the assumptions are labellers: one candidate is
     one lane of a packed view at one fill, and only the winner becomes a
-    KripkeModel.
+    KripkeModel.  Under varying and cumulative domains, the lanes that
+    fail a varying-domain clause (_interpretation_faults, over the packed
+    existence masks) are masked once per chunk and choice, before any
+    labelling pass; a chunk with no lane left is not labelled.
 
     Only the slots that the units read are filled.  The labeller reads
     the same atoms whatever the frame, the existence masks and the atom
@@ -738,7 +745,6 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
         for args in itertools.product(universe, repeat=k)
     ]
     n = len(worlds)
-    full = (1 << n) - 1
     # one cell per constant, then per function entry in argument order: a
     # choice is a value per cell, from a lazy product, never listed (a
     # ternary function at 3 individuals has 3^27 tables)
@@ -761,29 +767,31 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
             read = _read_slots(worlds, universe, consts, funcs, units, slots)
             for ones, exists, atoms in chunks():
                 view = _View(successors, exists, dict(atoms), consts, funcs, ones)
+                # the lanes that can still win: those that meet the
+                # varying-domain clauses, masked before any labelling pass
+                # (every lane meets them under constant domains), then only
+                # those below a hit
+                alive, winner = ones, None
+                if domain is not DomainCondition.CONSTANT:
+                    for lanes, _ in _interpretation_faults(worlds, exists, consts, funcs, ones):
+                        alive &= ~lanes
                 # the least lane with a hit, at its first hit: lanes run in
                 # candidate order, and a fill is the same in every lane
-                alive, below, winner = ones, -1, None
                 for fill in itertools.product(range(0, ones << n, ones), repeat=len(read)):
                     _check_deadline(deadline)
+                    if not alive:
+                        break
                     view.atoms.update(zip(read, fill))
-                    hits = alive & below & ~goal(view)
+                    hits = alive & ~goal(view)
                     for assumption in assumptions if hits else ():
                         holds = assumption(view)
                         for i in range(n):
                             hits &= holds >> i
-                    while hits:
+                    if hits:
                         low = hits & -hits
-                        # the existence masks decide; only a winner is read
-                        # out whole, at the fill it is hit at
-                        there = {x: m // low & full for x, m in view.exists.items()}
-                        if any(_interpretation_faults(worlds, there, consts, funcs)):
-                            alive ^= low
-                            hits ^= low
-                        else:
-                            below, winner, hits = low - 1, view.lane(low), 0
-                    if not alive & below:
-                        break
+                        # only a winner is read out whole, at its hit fill
+                        alive &= low - 1
+                        winner = view.lane(low)
                 if winner is not None:
                     return _model_of(worlds, successors, universe, winner)
     return None
@@ -831,8 +839,10 @@ def find_countermodel(
     mask must miss w1 and every assumption's must hold every world.
     Candidates that share a frame and a choice of constants and functions
     are labelled together, one per lane, in chunks of at most _WIDTH; the
-    least hit lane of the first chunk with a hit, at its first hit fill,
-    is the candidate the one-at-a-time order meets first.
+    lanes that fail the varying-domain clauses are masked out once per
+    chunk and choice, before labelling, and the least hit lane of the
+    first chunk with a hit, at its first hit fill, is the candidate the
+    one-at-a-time order meets first.
     Predicates other than unary ones are filled only at the argument
     tuples the units read, as in MACE-style model finders: the labeller
     never short-circuits and its quantifiers visit every individual, so

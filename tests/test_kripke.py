@@ -1158,8 +1158,9 @@ def packed_view(models):
 @pytest.mark.parametrize("lanes", [1, kripke._WIDTH + 3], ids=["one-lane", "past-a-chunk"])
 def test_packed_labelling_agrees_lane_by_lane(lanes):
     # every lane of a packed view labels as its model does alone, through
-    # boxes, diamonds, quantifiers, constants and functions; the wide case
-    # holds more lanes than one search chunk
+    # boxes, diamonds, quantifiers, constants and functions, and fails the
+    # varying-domain clauses as its model does, message by message; the
+    # wide case holds more lanes than one search chunk
     r = helpers.make_rng(2218)
     sig = fml.Signature({"p": 0, "q": 1, "r": 2}, {"g": 1}, ("c",))
     rounds, formulas = (40, 6) if lanes == 1 else (3, 4)
@@ -1168,6 +1169,14 @@ def test_packed_labelling_agrees_lane_by_lane(lanes):
         models = [base, *lane_variants(r, base, sig, lanes - 1)]
         view = packed_view(models)
         n, full = len(base.worlds), (1 << len(base.worlds)) - 1
+        faults = list(
+            kripke._interpretation_faults(
+                base.worlds, view.exists, view.consts, view.funcs, view.ones
+            )
+        )
+        for c, model in enumerate(models):
+            messages = [message for failing, message in faults if failing >> n * c & 1]
+            assert messages == list(domain_violations(model, DomainCondition.VARYING)), c
         for _ in range(formulas):
             formula = helpers.random_formula(r, sig, r.randint(1, 4))
             packed = kripke._labeller(formula)(view)
