@@ -43,7 +43,7 @@ from . import embedding
 from .embedding import FrameProperty, frame_properties
 
 
-@functools.lru_cache(maxsize=256)  # the search asks once per frame and vector
+@functools.lru_cache(maxsize=256)  # asked per mask, and per frame by the cumulative clause
 def _name_order(worlds: tuple[str, ...]) -> tuple[int, ...]:
     """World indices in world-name order, the order pairs are reported in."""
     return tuple(sorted(range(len(worlds)), key=worlds.__getitem__))

@@ -38,7 +38,11 @@ frames.py); individuals are enumerated up to renaming, whatever the
 signature.  Frame and domain conditions each have one definition over
 world masks, the violation generators (the frame one in frames.py) that
 the search runs as filters and frame_violations and domain_violations
-run on a model's masks.  A KripkeModel carries those masks as its view,
+run on a model's masks.  The domain one, _domain_faults, is written over
+packed lanes, a model being its one-lane case: the search runs it over
+one probe lane per existence vector, to find the vectors an individual
+may take, and over each chunk of candidates, for the varying-domain
+clauses.  A KripkeModel carries those masks as its view,
 built once by the walk that validates it, the one place where a model's
 names become masks.  A search candidate is one lane of a packed view, never
 a KripkeModel: only the winner is built as one, and it is re-verified.
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 
 from . import embedding, fml, hol
 from .embedding import DomainCondition, TranslationConfig
-from .frames import _frame_faults, _name_order, _pairs, _rooted
+from .frames import _frame_faults, _pairs, _rooted
 
 _NAME = re.compile(r"\w+\Z")
 _EMPTY: frozenset = frozenset()
@@ -499,33 +503,22 @@ def check_frame(model, logic: embedding.Logic) -> bool:
     return not frame_violations(model, logic)
 
 
-def _existence_faults(worlds, successors, exists, domain: DomainCondition):
-    """The constant and cumulative clauses over successor and existence
-    masks.  Both speak of one individual at a time, so they hold of a
-    model exactly when they hold of each of its individuals alone."""
+def _domain_faults(worlds, successors, exists, consts, funcs, domain, ones=1):
+    """The domain clauses over successor and existence masks, in every
+    lane at once: bit c*n + i of a mask is worlds[i] in lane c, and ones
+    has bit c*n of each lane c set, so a model is the one lane of ones=1.
+    Yields (lanes, message) whenever lanes, the mask of the lanes (bit
+    c*n for lane c) that fail a clause at a world or a related pair, is
+    nonzero: under constant domains the constant clause per world; else
+    the non-emptiness, designation and closure clauses per world, then,
+    under cumulative domains, the cumulative clause per related pair in
+    world-name order, reported for the least individual lost along it."""
     if domain is DomainCondition.CONSTANT:
-        everyone = functools.reduce(int.__and__, exists.values(), (1 << len(worlds)) - 1)
+        everyone = functools.reduce(int.__and__, exists.values())
         for i, w in enumerate(worlds):
-            if not everyone >> i & 1:
-                yield f"not constant: dom({w}) differs from the universe"
-    elif domain is DomainCondition.CUMULATIVE:
-        order = _name_order(worlds)
-        for u in order:
-            lost = [x for x in exists if exists[x] >> u & 1 and successors[u] & ~exists[x]]
-            for v in order if lost else ():
-                gone = [x for x in lost if successors[u] >> v & 1 and not exists[x] >> v & 1]
-                if gone:
-                    x, a, b = min(gone), worlds[u], worlds[v]
-                    yield f"not cumulative: {x} exists at {a} but not at {b} despite {a}>{b}"
-
-
-def _interpretation_faults(worlds, exists, consts, funcs, ones=1):
-    """The non-emptiness, designation and closure clauses, given the worlds
-    where each individual exists, in every lane at once: bit c*n + i of a
-    mask is worlds[i] in lane c, and ones has bit c*n of each lane c set,
-    so a model is the one lane of ones=1.  Per clause and per world,
-    yields (lanes, message), lanes the mask of the lanes that fail the
-    clause at that world (bit c*n for lane c), whenever it is nonzero."""
+            if lanes := ~everyone >> i & ones:
+                yield lanes, f"not constant: dom({w}) differs from the universe"
+        return
     somebody = functools.reduce(int.__or__, exists.values(), 0)
     for i, w in enumerate(worlds):
         if lanes := ~somebody >> i & ones:
@@ -543,6 +536,15 @@ def _interpretation_faults(worlds, exists, consts, funcs, ones=1):
         for i, w in enumerate(worlds):
             if lanes := (inside & ~exists[val]) >> i & ones:
                 yield lanes, f"unclosed function: {name}({','.join(args)}) = {val} leaves dom({w})"
+    if domain is not DomainCondition.CUMULATIVE:
+        return
+    names = sorted(exists)
+    for u, v in _pairs(worlds, successors):
+        a, b, left = worlds[u], worlds[v], ones
+        for x in names:
+            if lanes := exists[x] >> u & ~exists[x] >> v & left:
+                left ^= lanes
+                yield lanes, f"not cumulative: {x} exists at {a} but not at {b} despite {a}>{b}"
 
 
 def domain_violations(model, domain: DomainCondition) -> tuple[str, ...]:
@@ -553,12 +555,11 @@ def domain_violations(model, domain: DomainCondition) -> tuple[str, ...]:
     values that stay inside any domain their arguments come from.
     Cumulative adds monotonicity of domains along the relation.
     """
-    worlds, view = model.worlds, model.view
-    existence = _existence_faults(worlds, view.successors, view.exists, domain)
-    if domain is DomainCondition.CONSTANT:
-        return tuple(existence)
-    interpretation = _interpretation_faults(worlds, view.exists, view.consts, view.funcs)
-    return (*(message for _, message in interpretation), *existence)
+    view = model.view
+    faults = _domain_faults(
+        model.worlds, view.successors, view.exists, view.consts, view.funcs, domain
+    )
+    return tuple(message for _, message in faults)
 
 
 def check_domains(model, domain: DomainCondition) -> bool:
@@ -655,12 +656,13 @@ def _check_deadline(deadline):
 _WIDTH = 512  # lanes per labelling pass
 
 
-def _lanes(worlds, successors, universe, unary, domain, deadline):
+def _lanes(worlds, universe, unary, dead, tick):
     """Behaviours packed into lanes.  A behaviour is the worlds where an
     individual exists and, per unary predicate, the worlds where it has
-    the predicate, for every existence vector that meets the constant and
-    cumulative clauses on its own; there are 2^n x 2^(n*u) (n worlds, u
-    unary predicates), so the budget is checked while they are listed.
+    the predicate, for every existence vector v whose bit v*n is clear in
+    dead, the mask of the vectors an individual may not take; there are
+    up to 2^n x 2^(n*u) (n worlds, u unary predicates), so the budget is
+    checked (tick raises) while they are listed.
     Their combinations_with_replacement take the individuals in one
     canonical order, and the search enumerates everything else in full,
     so every model has an isomorphic copy among the candidates.  Returns
@@ -671,13 +673,13 @@ def _lanes(worlds, successors, universe, unary, domain, deadline):
     n = len(worlds)
     patterns = []
     for bits in itertools.product(itertools.product(_TRUTH_VALUES, repeat=len(unary)), repeat=n):
-        _check_deadline(deadline)
+        tick()
         patterns.append(tuple(sum(b << i for i, b in enumerate(row)) for row in zip(*bits)))
     behaviors = []
     for vector in itertools.product(_TRUTH_VALUES, repeat=n):
-        _check_deadline(deadline)
+        tick()
         there = sum(e << i for i, e in enumerate(vector))
-        if not any(_existence_faults(worlds, successors, {"d1": there}, domain)):
+        if not dead >> there * n & 1:
             behaviors.extend((there, *masks) for masks in patterns)
     combos = itertools.combinations_with_replacement(behaviors, len(universe))
     kept = []
@@ -718,15 +720,21 @@ def _read_slots(worlds, universe, consts, funcs, units, slots) -> list:
     return [s for s in slots if s in view.atoms]
 
 
-def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
+def _search(worlds, frames, universe, sig, assumptions, goal, domain, tick):
     """First model over these worlds and individuals, on one of the frames
     (each rooted at worlds[0]), that refutes the goal there; None if there
     is none.  The goal and the assumptions are labellers: one candidate is
     one lane of a packed view at one fill, and only the winner becomes a
-    KripkeModel.  Under varying and cumulative domains, the lanes that
-    fail a varying-domain clause (_interpretation_faults, over the packed
-    existence masks) are masked once per chunk and choice, before any
-    labelling pass; a chunk with no lane left is not labelled.
+    KripkeModel.  tick is called at each check point and may raise.
+
+    The constant and cumulative clauses speak of one individual at a time,
+    so they decide which existence vectors an individual may take.  One
+    _domain_faults pass over 2^n probe lanes finds them, once per size or,
+    under cumulative domains, once per frame, and the behaviours are
+    packed again only when they change.  Packed lanes so meet those
+    clauses; the lanes that fail a varying-domain clause are masked once
+    per chunk and choice, before any labelling pass, and a chunk with no
+    lane left is not labelled.
 
     Only the slots that the units read are filled.  The labeller reads
     the same atoms whatever the frame, the existence masks and the atom
@@ -754,14 +762,22 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
         for args in itertools.product(universe, repeat=arity)
     ]
     units = (goal, *assumptions)
-    chunks = None
+    # lane v of the probe: d1 exists at the worlds of vector v, beside a d0
+    # that exists everywhere, so non-emptiness holds and the clauses on one
+    # individual decide; bit v*n of dead is set where they fail
+    every = sum(1 << n * v for v in range(1 << n))
+    probe = {"d0": ((1 << n) - 1) * every, "d1": sum(v << n * v for v in range(1 << n))}
+    chunks = dead = None
     for successors in frames:
-        # behaviours depend on the frame through the cumulative clause only
-        if chunks is None or domain is DomainCondition.CUMULATIVE:
-            chunks = _lanes(worlds, successors, universe, unary, domain, deadline)
+        # the vectors depend on the frame through the cumulative clause only
+        if dead is None or domain is DomainCondition.CUMULATIVE:
+            faults = _domain_faults(worlds, successors, probe, {}, {}, domain, every)
+            now = functools.reduce(int.__or__, (lanes for lanes, _ in faults), 0)
+            if now != dead:
+                dead, chunks = now, _lanes(worlds, universe, unary, now, tick)
         choices = itertools.product(universe, repeat=len(sig.constants) + len(entries))
         for values in choices:
-            _check_deadline(deadline)
+            tick()
             consts = dict(zip(sig.constants, values))
             funcs = dict(zip(entries, values[len(sig.constants):]))
             read = _read_slots(worlds, universe, consts, funcs, units, slots)
@@ -773,12 +789,15 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, deadline):
                 # those below a hit
                 alive, winner = ones, None
                 if domain is not DomainCondition.CONSTANT:
-                    for lanes, _ in _interpretation_faults(worlds, exists, consts, funcs, ones):
+                    varying = DomainCondition.VARYING
+                    for lanes, _ in _domain_faults(
+                        worlds, successors, exists, consts, funcs, varying, ones
+                    ):
                         alive &= ~lanes
                 # the least lane with a hit, at its first hit: lanes run in
                 # candidate order, and a fill is the same in every lane
                 for fill in itertools.product(range(0, ones << n, ones), repeat=len(read)):
-                    _check_deadline(deadline)
+                    tick()
                     if not alive:
                         break
                     view.atoms.update(zip(read, fill))
@@ -834,15 +853,20 @@ def find_countermodel(
     the first frame with a hit is always the least of its class, so the
     printed model does not change either.  Individuals are enumerated up
     to renaming, whatever the signature: their behaviors are taken as a
-    multiset, and everything else is enumerated in full over it.  Each
-    unit is compiled once into a labeller, and a candidate is tested by labelling: the conjecture's
-    mask must miss w1 and every assumption's must hold every world.
-    Candidates that share a frame and a choice of constants and functions
-    are labelled together, one per lane, in chunks of at most _WIDTH; the
-    lanes that fail the varying-domain clauses are masked out once per
-    chunk and choice, before labelling, and the least hit lane of the
-    first chunk with a hit, at its first hit fill, is the candidate the
-    one-at-a-time order meets first.
+    multiset, and everything else is enumerated in full over it.  A
+    behavior takes only the existence vectors that the frame admits under
+    the constant and cumulative clauses, which speak of one individual at
+    a time; the behaviors are packed into lanes again only when the
+    admitted vectors change, so once per size except under cumulative
+    domains.  Each unit is compiled once into a labeller, and a candidate
+    is tested by labelling: the conjecture's mask must miss w1 and every
+    assumption's must hold every world.  Candidates that share a frame
+    and a choice of constants and functions are labelled together, one
+    per lane, in chunks of at most _WIDTH; the lanes that fail the
+    varying-domain clauses (non-emptiness, designation and closure) are
+    masked out once per chunk and choice, before labelling, and the least
+    hit lane of the first chunk with a hit, at its first hit fill, is the
+    candidate the one-at-a-time order meets first.
     Predicates other than unary ones are filled only at the argument
     tuples the units read, as in MACE-style model finders: the labeller
     never short-circuits and its quantifiers visit every individual, so
@@ -868,7 +892,7 @@ def find_countermodel(
             for n_indiv in range(1, bounds.max_individuals + 1):
                 universe = tuple(f"d{i}" for i in range(1, n_indiv + 1))
                 model = _search(
-                    worlds, frames, universe, sig, assumptions, goal, config.domain, deadline
+                    worlds, frames, universe, sig, assumptions, goal, config.domain, tick
                 )
                 if model is not None:
                     found = Countermodel(model, worlds[0])

@@ -1159,8 +1159,8 @@ def packed_view(models):
 def test_packed_labelling_agrees_lane_by_lane(lanes):
     # every lane of a packed view labels as its model does alone, through
     # boxes, diamonds, quantifiers, constants and functions, and fails the
-    # varying-domain clauses as its model does, message by message; the
-    # wide case holds more lanes than one search chunk
+    # clauses of every domain condition as its model does, message by
+    # message; the wide case holds more lanes than one search chunk
     r = helpers.make_rng(2218)
     sig = fml.Signature({"p": 0, "q": 1, "r": 2}, {"g": 1}, ("c",))
     rounds, formulas = (40, 6) if lanes == 1 else (3, 4)
@@ -1169,14 +1169,21 @@ def test_packed_labelling_agrees_lane_by_lane(lanes):
         models = [base, *lane_variants(r, base, sig, lanes - 1)]
         view = packed_view(models)
         n, full = len(base.worlds), (1 << len(base.worlds)) - 1
-        faults = list(
-            kripke._interpretation_faults(
-                base.worlds, view.exists, view.consts, view.funcs, view.ones
+        for domain in DomainCondition:
+            faults = list(
+                kripke._domain_faults(
+                    base.worlds,
+                    view.successors,
+                    view.exists,
+                    view.consts,
+                    view.funcs,
+                    domain,
+                    view.ones,
+                )
             )
-        )
-        for c, model in enumerate(models):
-            messages = [message for failing, message in faults if failing >> n * c & 1]
-            assert messages == list(domain_violations(model, DomainCondition.VARYING)), c
+            for c, model in enumerate(models):
+                messages = [message for failing, message in faults if failing >> n * c & 1]
+                assert messages == list(domain_violations(model, domain)), (domain, c)
         for _ in range(formulas):
             formula = helpers.random_formula(r, sig, r.randint(1, 4))
             packed = kripke._labeller(formula)(view)
@@ -1191,9 +1198,7 @@ def test_lanes_walk_the_combinations_in_order_across_chunks():
     worlds, successors, unary = ("w1", "w2"), [0b11, 0b10], ["p", "q"]
 
     def walk(universe):
-        chunks = kripke._lanes(
-            worlds, successors, universe, unary, DomainCondition.VARYING, None
-        )
+        chunks = kripke._lanes(worlds, universe, unary, 0, lambda: None)
         lanes = []
         for ones, exists, atoms in chunks():
             view = kripke._View(successors, exists, atoms, {}, {}, ones)
@@ -1210,6 +1215,30 @@ def test_lanes_walk_the_combinations_in_order_across_chunks():
     assert len(combinations) > 4 * kripke._WIDTH
     assert combinations == list(itertools.combinations_with_replacement(behaviours, 2))
     assert all(a is b for a, b in zip(chunks(), chunks()))
+
+
+def test_search_packs_again_only_when_the_admitted_vectors_change(monkeypatch):
+    # under cumulative domains the existence vectors an individual may take
+    # depend on the frame, and the behaviours are packed once per run of
+    # frames that admit the same vectors: a vector (a world mask) is
+    # admitted when every world in it sees only worlds in it
+    calls = []
+    lanes = kripke._lanes
+    monkeypatch.setattr(kripke, "_lanes", lambda *args: calls.append(args) or lanes(*args))
+    result = find_countermodel(E1, config("k", "cumul"), SearchBounds(3, 1))
+    assert isinstance(result, NoCountermodelWithinBounds)
+    changes = 0
+    for n in (1, 2, 3):
+        last = None
+        for successors in frames._rooted(n, Logic.K, lambda: None):
+            admitted = {
+                v
+                for v in range(1 << n)
+                if all(successors[u] & ~v == 0 for u in range(n) if v >> u & 1)
+            }
+            changes += admitted != last
+            last = admitted
+    assert len(calls) == changes
 
 
 def test_search_takes_the_least_lane_before_the_earliest_fill():
