@@ -28,16 +28,34 @@ IJCAI 1995), and it changes no search result:
   The verdict, the smallest size and the printed countermodel stay the
   same; a timeout can only come later.
 
-Frames depend on the world count and the logic only, so each list is
-built once per process and kept as a tuple of tuples, which no caller can
-change.  A list enters the cache only once its walk completes: a deadline
-that fires mid-walk (tick raises) leaves nothing behind.
+_lanes gives the search, on top of a frame, its candidates for the
+individuals: their behaviours (existence and unary predicate masks)
+packed into lanes of labelling chunks (see its docstring).  The chunks
+depend on the frame only through the existence vectors it admits, so the
+frames and the packed behaviours are the two layers of search structure
+kept here, both per process:
+
+- frames depend on the world count and the logic only, so each list is
+  built once per process and kept as a tuple of tuples, which no caller
+  can change;
+- packed behaviours depend on the worlds, the individuals, the unary
+  predicate names and the mask of the existence vectors an individual may
+  not take, and are kept per such key, each chunk packed by the first
+  walk that reaches it.  They are bounded: an entry is charged up front
+  with its full walk and its pool, in lanes and behaviours; one heavier
+  than _BOUND is walked and never kept, and otherwise whole entries are
+  evicted oldest first until the total fits.
+
+Either enters its cache only once its listing completes: a deadline that
+fires mid-listing (tick raises) leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 
 from . import embedding
 from .embedding import FrameProperty, frame_properties
@@ -126,3 +144,98 @@ def _least_frames(n: int, logic: embedding.Logic, tick):
                     copy |= row << n * to[i]
                 if copy > mask:
                     copies.add(copy)
+
+
+_WIDTH = 512  # lanes per labelling pass
+
+# the store's bound, in lanes plus behaviours.  The benchmark's two search
+# workloads charge 2,994 together (largest key 832); the four-predicate
+# tautology at 3x1 under k:cumul charges 199,232 over 10 keys (largest
+# 40,960), which a bound of 2^16 would make evict each other within one
+# search (17 listings instead of 10).  A kept entry holds about 40 bytes
+# per unit while its walk is unfinished, its lanes alone once it is done.
+_BOUND = 1 << 18
+_LANES: dict[tuple, tuple[int, object]] = {}
+
+
+def _lanes(worlds, universe, unary, dead, tick):
+    """Behaviours packed into lanes.  A behaviour is the worlds where an
+    individual exists and, per unary predicate, the worlds where it has
+    the predicate, for every existence vector v whose bit v*n is clear in
+    dead, the mask of the vectors an individual may not take; there are
+    up to 2^n x 2^(n*u) (n worlds, u unary predicates), so the budget is
+    checked (tick raises) while they are listed.
+    Their combinations_with_replacement take the individuals in one
+    canonical order, and the search enumerates everything else in full,
+    so every model has an isomorphic copy among the candidates.  Returns
+    a function that walks the combinations from the first, packed into
+    chunks of at most _WIDTH lanes (lane c the c-th): each chunk's ones
+    (bit c*n per lane c), existence masks and unary atom masks, which no
+    caller may change.
+
+    The function is kept per process for its key, within _BOUND (see the
+    module docstring).  Each chunk is packed by the first walk that
+    reaches it, in this search or an earlier one, and later walks replay
+    it; once a walk is exhausted, the function drops the iterator and its
+    copy of the pool.  On a shared 2-CPU machine, with the frames built,
+    E1's 21 configurations search 3x3 in about 11 ms in all from a warm
+    store and 16 ms with the store emptied before each search, and the
+    four-predicate tautology at 3x1 takes 0.10 s from an empty store and
+    0.013 s warm under k:cumul (10 keys), 0.010 s and 0.005 s under
+    k:const (3 keys)."""
+    key = (worlds, universe, tuple(unary), dead)
+    if key in _LANES:
+        return _LANES[key][1]
+    pool = ((1 << len(worlds)) - dead.bit_count()) << len(worlds) * len(unary)
+    charge = math.comb(pool + len(universe) - 1, len(universe)) + pool
+    chunks = _walk(worlds, universe, unary, dead, tick)
+    if charge <= _BOUND:
+        while sum(c for c, _ in _LANES.values()) + charge > _BOUND:
+            del _LANES[next(iter(_LANES))]
+        _LANES[key] = charge, chunks
+    return chunks
+
+
+def _walk(worlds, universe, unary, dead, tick):
+    """_lanes without the store: lists the behaviours and returns the walk."""
+    n = len(worlds)
+    # per world i, its rows of unary truth values as masks at bit i; a
+    # pattern takes one row per world, worlds[0]'s varying slowest
+    truths = list(itertools.product((0, 1), repeat=len(unary)))
+    rows = [[tuple(b << i for b in row) for row in truths] for i in range(n)]
+    patterns = []
+    for picked in itertools.product(*rows):
+        tick()
+        patterns.append(tuple(map(sum, zip(*picked))))
+    behaviors = []
+    for vector in itertools.product((0, 1), repeat=n):
+        tick()
+        there = sum(e << i for i, e in enumerate(vector))
+        if not dead >> there * n & 1:
+            behaviors.extend(map((there,).__add__, patterns))
+    combos = itertools.combinations_with_replacement(behaviors, len(universe))
+    kept = []
+
+    def chunks():
+        nonlocal combos
+        for i in itertools.count():
+            if i == len(kept):
+                combinations = list(itertools.islice(combos, _WIDTH))
+                if not combinations:
+                    combos = ()  # exhausted: drop the pool with the iterator
+                    return
+                kept.append(_pack(n, universe, unary, combinations))
+            yield kept[i]
+
+    return chunks
+
+
+def _pack(n, universe, unary, combinations):
+    """One chunk: combination c in lane c, as (ones, exists, atoms)."""
+    shifts = range(0, n * len(combinations), n)
+    exists, atoms = {}, {}
+    for x, column in zip(universe, zip(*combinations)):
+        lanes = (sum(map(operator.lshift, field, shifts)) for field in zip(*column))
+        exists[x], *masks = lanes
+        atoms.update(((p, x), m) for p, m in zip(unary, masks))
+    return sum(map((1).__lshift__, shifts)), exists, atoms

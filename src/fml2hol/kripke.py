@@ -33,23 +33,23 @@ existence guard appears at quantifiers only.
 Rooting loses nothing: a model refuting a formula at w restricts to the
 submodel generated by w, which keeps the frame and domain conditions and
 every truth value at w.  Frames are enumerated up to renaming of the
-worlds other than w1, and their lists are built once per process (see
-frames.py); individuals are enumerated up to renaming, whatever the
-signature.  Frame and domain conditions each have one definition over
-world masks, the violation generators (the frame one in frames.py) that
-the search runs as filters and frame_violations and domain_violations
-run on a model's masks.  The domain one, _domain_faults, is written over
-packed lanes, a model being its one-lane case: the search runs it over
-one probe lane per existence vector, to find the vectors an individual
-may take, and over each chunk of candidates, for the varying-domain
-clauses.  A KripkeModel carries those masks as its view,
-built once by the walk that validates it, the one place where a model's
-names become masks.  A search candidate is one lane of a packed view, never
-a KripkeModel: only the winner is built as one, and it is re-verified.
-Candidates are labelled a chunk at a time by bit-slicing (Biham, FSE
-1997), bit c*n + i standing for worlds[i] in lane c.  A candidate fills
-only the atoms that the units read, which one labelling pass per frame
-and choice of constants and functions finds.
+worlds other than w1, and their lists, like the packed behaviours of the
+individuals, are kept per process (see frames.py); individuals are
+enumerated up to renaming, whatever the signature.  Frame and domain
+conditions each have one definition over world masks, the violation
+generators (the frame one in frames.py) that the search runs as filters
+and frame_violations and domain_violations run on a model's masks.  The
+domain one, _domain_faults, is written over packed lanes, a model being
+its one-lane case: the search runs it over one probe lane per existence
+vector, to find the vectors an individual may take, and over each chunk
+of candidates, for the varying-domain clauses.  A KripkeModel carries
+those masks as its view, built once by the walk that validates it, the
+one place where a model's names become masks.  A search candidate is one
+lane of a packed view, never a KripkeModel: only the winner is built as
+one, and it is re-verified.  Candidates are labelled a chunk at a time
+by bit-slicing (Biham, FSE 1997), bit c*n + i standing for worlds[i] in
+lane c.  A candidate fills only the atoms that the units read, which one
+labelling pass per frame and choice of constants and functions finds.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 
 from . import embedding, fml, hol
 from .embedding import DomainCondition, TranslationConfig
-from .frames import _frame_faults, _pairs, _rooted
+from .frames import _WIDTH, _frame_faults, _lanes, _pairs, _rooted
 
 _NAME = re.compile(r"\w+\Z")
 _EMPTY: frozenset = frozenset()
@@ -653,52 +653,6 @@ def _check_deadline(deadline):
         raise _Deadline
 
 
-_WIDTH = 512  # lanes per labelling pass
-
-
-def _lanes(worlds, universe, unary, dead, tick):
-    """Behaviours packed into lanes.  A behaviour is the worlds where an
-    individual exists and, per unary predicate, the worlds where it has
-    the predicate, for every existence vector v whose bit v*n is clear in
-    dead, the mask of the vectors an individual may not take; there are
-    up to 2^n x 2^(n*u) (n worlds, u unary predicates), so the budget is
-    checked (tick raises) while they are listed.
-    Their combinations_with_replacement take the individuals in one
-    canonical order, and the search enumerates everything else in full,
-    so every model has an isomorphic copy among the candidates.  Returns
-    a function that walks the combinations from the first, packed into
-    chunks of at most _WIDTH lanes (lane c the c-th): each chunk's ones
-    (bit c*n per lane c), existence masks and unary atom masks.  A chunk
-    is packed once, by the first walk that reaches it."""
-    n = len(worlds)
-    patterns = []
-    for bits in itertools.product(itertools.product(_TRUTH_VALUES, repeat=len(unary)), repeat=n):
-        tick()
-        patterns.append(tuple(sum(b << i for i, b in enumerate(row)) for row in zip(*bits)))
-    behaviors = []
-    for vector in itertools.product(_TRUTH_VALUES, repeat=n):
-        tick()
-        there = sum(e << i for i, e in enumerate(vector))
-        if not dead >> there * n & 1:
-            behaviors.extend((there, *masks) for masks in patterns)
-    combos = itertools.combinations_with_replacement(behaviors, len(universe))
-    kept = []
-
-    def chunks():
-        yield from kept
-        while chunk := list(itertools.islice(combos, _WIDTH)):
-            shifts = range(0, n * len(chunk), n)
-            exists, atoms = {}, {}
-            for x, column in zip(universe, zip(*chunk)):
-                lanes = (sum(m << s for m, s in zip(field, shifts)) for field in zip(*column))
-                exists[x], *masks = lanes
-                atoms.update(((p, x), m) for p, m in zip(unary, masks))
-            kept.append((sum(1 << s for s in shifts), exists, atoms))
-            yield kept[-1]
-
-    return chunks
-
-
 class _Reads(dict):
     """An atoms table that records each key read from it: get, the
     labeller's only read, enters the key with its default, so every atom
@@ -720,6 +674,25 @@ def _read_slots(worlds, universe, consts, funcs, units, slots) -> list:
     return [s for s in slots if s in view.atoms]
 
 
+def _dead(worlds, domain, successors=()) -> int:
+    """The mask of the existence vectors an individual may not take under
+    the constant and cumulative clauses, which speak of one individual at
+    a time: bit v*n is set where they fail vector v (a world mask).  One
+    _domain_faults pass over 2^n probe lanes, in lane v a d1 existing at
+    the worlds of v beside a d0 existing everywhere, so that non-emptiness
+    holds and the clauses on one individual decide."""
+    n = len(worlds)
+    every = sum(1 << n * v for v in range(1 << n))
+    probe = {"d0": ((1 << n) - 1) * every, "d1": sum(v << n * v for v in range(1 << n))}
+    faults = _domain_faults(worlds, successors, probe, {}, {}, domain, every)
+    return functools.reduce(int.__or__, (lanes for lanes, _ in faults), 0)
+
+
+# without the cumulative clause the frame does not matter: once per process
+# per world count and domain condition
+_dead_anywhere = functools.lru_cache(maxsize=None)(_dead)
+
+
 def _search(worlds, frames, universe, sig, assumptions, goal, domain, tick):
     """First model over these worlds and individuals, on one of the frames
     (each rooted at worlds[0]), that refutes the goal there; None if there
@@ -728,11 +701,12 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, tick):
     KripkeModel.  tick is called at each check point and may raise.
 
     The constant and cumulative clauses speak of one individual at a time,
-    so they decide which existence vectors an individual may take.  One
-    _domain_faults pass over 2^n probe lanes finds them, once per size or,
-    under cumulative domains, once per frame, and the behaviours are
-    packed again only when they change.  Packed lanes so meet those
-    clauses; the lanes that fail a varying-domain clause are masked once
+    so they decide which existence vectors an individual may take.  _dead
+    finds them, once per process for each world count and domain condition
+    or, under cumulative domains, once per frame, and the search asks
+    _lanes for other packed behaviours only when they change; _lanes keeps
+    them per process, so later sizes and searches replay their chunks.
+    Packed lanes so meet those clauses; the lanes that fail a varying-domain clause are masked once
     per chunk and choice, before any labelling pass, and a chunk with no
     lane left is not labelled.
 
@@ -762,19 +736,15 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, tick):
         for args in itertools.product(universe, repeat=arity)
     ]
     units = (goal, *assumptions)
-    # lane v of the probe: d1 exists at the worlds of vector v, beside a d0
-    # that exists everywhere, so non-emptiness holds and the clauses on one
-    # individual decide; bit v*n of dead is set where they fail
-    every = sum(1 << n * v for v in range(1 << n))
-    probe = {"d0": ((1 << n) - 1) * every, "d1": sum(v << n * v for v in range(1 << n))}
     chunks = dead = None
     for successors in frames:
         # the vectors depend on the frame through the cumulative clause only
-        if dead is None or domain is DomainCondition.CUMULATIVE:
-            faults = _domain_faults(worlds, successors, probe, {}, {}, domain, every)
-            now = functools.reduce(int.__or__, (lanes for lanes, _ in faults), 0)
-            if now != dead:
-                dead, chunks = now, _lanes(worlds, universe, unary, now, tick)
+        if domain is DomainCondition.CUMULATIVE:
+            now = _dead(worlds, domain, successors)
+        elif dead is None:
+            now = _dead_anywhere(worlds, domain)
+        if now != dead:
+            dead, chunks = now, _lanes(worlds, universe, unary, now, tick)
         choices = itertools.product(universe, repeat=len(sig.constants) + len(entries))
         for values in choices:
             tick()
@@ -856,11 +826,17 @@ def find_countermodel(
     multiset, and everything else is enumerated in full over it.  A
     behavior takes only the existence vectors that the frame admits under
     the constant and cumulative clauses, which speak of one individual at
-    a time; the behaviors are packed into lanes again only when the
-    admitted vectors change, so once per size except under cumulative
-    domains.  Each unit is compiled once into a labeller, and a candidate
-    is tested by labelling: the conjecture's mask must miss w1 and every
-    assumption's must hold every world.  Candidates that share a frame
+    a time.  The behaviors packed into lanes are kept per process, like
+    the frames, by worlds, individuals, unary predicate names and admitted
+    vectors (frames._lanes, within a fixed bound), so a later size, frame
+    or search with the same key replays the chunks packed before: E1's 21
+    configurations at 3x3 take about 11 ms in all from a warm store and 16
+    ms with the store emptied before each search, and the four-predicate
+    tautology at 3x1 under k:cumul 0.013 s and 0.10 s (shared 2-CPU
+    machine, frames built).  Each unit is
+    compiled once into a labeller, and a candidate is tested by labelling:
+    the conjecture's mask must miss w1 and every assumption's must hold
+    every world.  Candidates that share a frame
     and a choice of constants and functions are labelled together, one
     per lane, in chunks of at most _WIDTH; the lanes that fail the
     varying-domain clauses (non-emptiness, designation and closure) are

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 import helpers
-from fml2hol import embedding, fml, frames, hol, kripke, qmf
+from fml2hol import cli, embedding, fml, frames, hol, kripke, qmf
 from fml2hol.embedding import DomainCondition, Logic, TranslationConfig
 from fml2hol.kripke import (
     Countermodel,
@@ -1239,6 +1239,141 @@ def test_search_packs_again_only_when_the_admitted_vectors_change(monkeypatch):
             changes += admitted != last
             last = admitted
     assert len(calls) == changes
+
+
+def tautology(predicates):
+    """( p0(X) | ~ ( p0(X) ) ) & ... under one universal quantifier: as many
+    unary predicates as asked for, and no countermodel."""
+    body = " & ".join(f"( p{i}(X) | ~ ( p{i}(X) ) )" for i in range(predicates))
+    return qmf.parse_problem(f"qmf(con,conjecture,( ! [X] : ( {body} ) )).")
+
+
+def calls_of(monkeypatch, name):
+    """The argument tuples of every later call of frames.<name>."""
+    calls, original = [], getattr(frames, name)
+    monkeypatch.setattr(frames, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_a_second_search_replays_the_stored_chunks(monkeypatch):
+    # the behaviours of a key are listed and packed once per process: a
+    # second search of E1 at 3x3 lists and packs nothing, and it ends the
+    # same way, with the same countermodel where there is one
+    monkeypatch.setattr(frames, "_LANES", {})
+    walks, packs = calls_of(monkeypatch, "_walk"), calls_of(monkeypatch, "_pack")
+    for cfg in (config("k", "const"), config("k", "vary")):
+        listed, packed = len(walks), len(packs)
+        first = find_countermodel(E1, cfg, SearchBounds(3, 3))
+        assert len(walks) > listed and len(packs) > packed
+        listed, packed = len(walks), len(packs)
+        second = find_countermodel(E1, cfg, SearchBounds(3, 3))
+        assert (len(walks), len(packs)) == (listed, packed)
+        assert type(first) is type(second)
+        if isinstance(first, Countermodel):
+            assert print_model(first.model) == print_model(second.model)
+
+
+def test_a_deadline_while_listing_leaves_no_entry(monkeypatch):
+    # with the bound lifted, only the deadline keeps the six-predicate
+    # behaviours at 3 worlds (2^3 x 2^18) out of the store: it fires while
+    # they are listed, and the sizes listed before stay stored
+    monkeypatch.setattr(frames, "_LANES", {})
+    monkeypatch.setattr(frames, "_BOUND", 1 << 30)
+    walks = calls_of(monkeypatch, "_walk")
+    bounds = SearchBounds(3, 1, time_budget=0.15)
+    result = find_countermodel(tautology(6), config("s5", "vary"), bounds)
+    assert isinstance(result, Timeout)
+    assert [len(worlds) for worlds, *_ in walks] == [1, 2, 3]
+    assert [len(worlds) for worlds, *_ in frames._LANES] == [1, 2]
+
+
+def test_a_search_heavier_than_the_bound_keeps_nothing(monkeypatch):
+    # five predicates at 3 worlds under varying domains, one individual:
+    # 2^3 x 2^15 behaviours, charged 2^19 units, past the bound, so they are
+    # walked and dropped with the search; kept, their lanes would hold 1.2 MB
+    monkeypatch.setattr(frames, "_LANES", {})
+    problem, cfg = tautology(5), config("s5", "vary")
+    find_countermodel(problem, cfg, SearchBounds(2, 1))  # the smaller sizes' entries
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = find_countermodel(problem, cfg, SearchBounds(3, 1))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(result, NoCountermodelWithinBounds)
+    assert [len(worlds) for worlds, *_ in frames._LANES] == [1, 2]
+    assert retained < 1 << 20
+
+
+def test_the_store_evicts_whole_entries_oldest_first(monkeypatch):
+    # one individual at 2 worlds: a key with a admitted vectors and u unary
+    # predicates lists a x 4^u behaviours and walks as many lanes, and is
+    # charged both; a hit moves nothing, and a key heavier than the bound
+    # is walked but neither stored nor the cause of an eviction
+    monkeypatch.setattr(frames, "_LANES", {})
+    monkeypatch.setattr(frames, "_BOUND", 100)
+    worlds, universe = ("w1", "w2"), ("d1",)
+
+    def dead(*vectors):
+        return sum(1 << len(worlds) * v for v in vectors)
+
+    keys = {
+        "A": (["p"], dead()),
+        "B": (["q"], dead()),
+        "C": (["p"], dead(0)),
+        "D": (["p"], dead(0, 1, 2)),
+        "E": (["r"], dead()),
+        "F": (["s"], dead()),
+        "G": (["p", "q"], dead()),
+    }
+    names = {(worlds, universe, tuple(u), mask): name for name, (u, mask) in keys.items()}
+    walks = {}
+    steps = ["A", "B", "C", "D", "E", "B", "F", "G"]
+    stores = ["A", "AB", "ABC", "ABCD", "BCDE", "BCDE", "CDEF", "CDEF"]
+    for name, expected in zip(steps, stores):
+        unary, mask = keys[name]
+        chunks = frames._lanes(worlds, universe, unary, mask, lambda: None)
+        assert walks.setdefault(name, chunks) is chunks
+        assert "".join(names[key] for key in frames._LANES) == expected
+        lanes = sum(ones.bit_count() for ones, _, _ in chunks())
+        assert lanes == (4 - mask.bit_count()) * 4 ** len(unary)
+        charges = {names[key]: charge for key, (charge, _) in frames._LANES.items()}
+        assert charges.get(name, 2 * lanes) == 2 * lanes
+        assert sum(charges.values()) <= frames._BOUND
+
+
+def test_check_prints_the_same_from_a_cold_and_a_warm_store(monkeypatch, tmp_path, capsys):
+    # what check prints for E1 under all 21 configs at 4x1 and 3x2 is the
+    # same with the store emptied before each run as after two passes that
+    # keep it: a stored chunk replays what a fresh one holds
+    path = tmp_path / "e1.qmf"
+    path.write_text(
+        "qmf(con,conjecture,( ( ! [X] : ( #box : ( f(X) ) ) )"
+        " => ( #box : ( ! [X] : ( f(X) ) ) ) )).\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(frames, "_LANES", {})
+    runs = [
+        ["check", str(path), "-f", f"thf:{logic.tag}:{domain.tag}",
+         "--max-worlds", worlds, "--max-individuals", individuals]
+        for logic in Logic
+        for domain in DomainCondition
+        for worlds, individuals in (("4", "1"), ("3", "2"))
+    ]
+
+    def printed(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr()
+
+    cold = []
+    for argv in runs:
+        frames._LANES.clear()
+        cold.append(printed(argv))
+    assert any("% SZS status CounterSatisfiable" in out for _, (out, _) in cold)
+    for _ in range(2):
+        assert [printed(argv) for argv in runs] == cold
 
 
 def test_search_takes_the_least_lane_before_the_earliest_fill():
