@@ -179,8 +179,20 @@ DOMAIN = "domain"
 LOGIC = "logic"
 
 
-def _grouped_connectives(config: TranslationConfig):
-    """The connective definitions as (group, unit) pairs."""
+@cache
+def _vocabulary(config: TranslationConfig) -> tuple[tuple[str, Unit], ...]:
+    """What the configuration alone determines, as (group, unit) pairs in
+    emission order: the declarations and definitions of the lifted
+    vocabulary, every symbol introduced before its first use, then the
+    frame axioms.  The one path to these units: built once per config
+    and process, on first use, and shared by every problem embedded under
+    it (units are immutable)."""
+    return tuple(_grouped_vocabulary(config))
+
+
+def _grouped_vocabulary(config: TranslationConfig):
+    """The pairs _vocabulary keeps, one at a time; called by _vocabulary
+    alone, so that each config's units are built once."""
     rel = rel_const(config.logic)
     box = box_const(config.logic)
     phi, psi = Var("Phi", PROP), Var("Psi", PROP)
@@ -319,25 +331,26 @@ def _grouped_connectives(config: TranslationConfig):
             ),
         ),
     }
-    for prop in frame_properties(config.logic):
+    props = frame_properties(config.logic)
+    for prop in props:
         yield LOGIC, _def(property_const(prop).name, property_bodies[prop])
+    for i, prop in enumerate(props, start=1):
+        yield LOGIC, Unit.formula(f"a{i}", "axiom", apply(property_const(prop), rel))
 
 
-@cache
+# both build their tuple from a list, not a generator: tuple() sizes a
+# generator's result by a guess and resizes it, which at one call per op
+# moves a tuple per call onto another size's free list (up to 2,000 of
+# them, about 0.3 MB, freed only by a full collection)
 def connective_definitions(config: TranslationConfig) -> tuple[Unit, ...]:
     """Declarations and definitions of the lifted vocabulary, in an order
-    where every symbol is introduced before its first use.  Built once per
-    config: the result is immutable."""
-    return tuple(unit for _, unit in _grouped_connectives(config))
+    where every symbol is introduced before its first use."""
+    return tuple([unit for _, unit in _vocabulary(config) if unit.kind != "axiom"])
 
 
 def frame_axioms(config: TranslationConfig) -> tuple[Unit, ...]:
     """The frame axioms: one per frame property, all in the LOGIC group."""
-    rel = rel_const(config.logic)
-    return tuple(
-        Unit.formula(f"a{i}", "axiom", apply(property_const(prop), rel))
-        for i, prop in enumerate(frame_properties(config.logic), start=1)
-    )
+    return tuple([unit for _, unit in _vocabulary(config) if unit.kind == "axiom"])
 
 
 def _problem_unit_names(signature: fml.Signature) -> tuple[str, dict[str, str]]:
@@ -433,6 +446,16 @@ def embed_term(t: fml.Term) -> hol.Term:
     raise TypeError(f"not a term: {t!r}")
 
 
+# the lifted constant of each binary connective and individual quantifier
+_LIFTED = {
+    fml.And: MAND,
+    fml.Or: MOR,
+    fml.Implies: MIMPLIES,
+    fml.Forall: MFORALL_IND,
+    fml.Exists: MEXISTS_IND,
+}
+
+
 def embed_formula(formula: fml.Formula, config: TranslationConfig) -> hol.Term:
     """Map a closed modal formula to a term of type $i > $o."""
     if isinstance(formula, fml.Atom):
@@ -440,38 +463,16 @@ def embed_formula(formula: fml.Formula, config: TranslationConfig) -> hol.Term:
         return apply(head, *(embed_term(a) for a in formula.args))
     if isinstance(formula, fml.Not):
         return apply(MNOT, embed_formula(formula.body, config))
-    if isinstance(formula, fml.And):
-        return apply(
-            MAND,
-            embed_formula(formula.left, config),
-            embed_formula(formula.right, config),
-        )
-    if isinstance(formula, fml.Or):
-        return apply(
-            MOR,
-            embed_formula(formula.left, config),
-            embed_formula(formula.right, config),
-        )
-    if isinstance(formula, fml.Implies):
-        return apply(
-            MIMPLIES,
-            embed_formula(formula.left, config),
-            embed_formula(formula.right, config),
-        )
+    if isinstance(formula, (fml.And, fml.Or, fml.Implies)):
+        left, right = embed_formula(formula.left, config), embed_formula(formula.right, config)
+        return apply(_LIFTED[type(formula)], left, right)
     if isinstance(formula, fml.Box):
         return apply(box_const(config.logic), embed_formula(formula.body, config))
     if isinstance(formula, fml.Dia):
         return apply(dia_const(config.logic), embed_formula(formula.body, config))
-    if isinstance(formula, fml.Forall):
-        return apply(
-            MFORALL_IND,
-            Lambda(formula.var, INDIV, embed_formula(formula.body, config)),
-        )
-    if isinstance(formula, fml.Exists):
-        return apply(
-            MEXISTS_IND,
-            Lambda(formula.var, INDIV, embed_formula(formula.body, config)),
-        )
+    if isinstance(formula, (fml.Forall, fml.Exists)):
+        body = Lambda(formula.var, INDIV, embed_formula(formula.body, config))
+        return apply(_LIFTED[type(formula)], body)
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -495,9 +496,8 @@ def _reserved_names() -> tuple[frozenset[str], frozenset[str]]:
     for logic in Logic:
         for domain in DomainCondition:
             config = TranslationConfig(logic, domain)
-            # from the generator, so that configs never used are not cached
-            units += (unit for _, unit in _grouped_connectives(config))
-            units += frame_axioms(config) + domain_axioms(config, fml.Signature())
+            units += (unit for _, unit in _vocabulary(config))
+            units += domain_axioms(config, fml.Signature())
     return (
         frozenset(u.symbol for u in units if u.symbol is not None),
         frozenset(u.name for u in units),
@@ -535,8 +535,7 @@ def embed_problem(problem: fml.Problem, config: TranslationConfig) -> EmbeddedPr
     check_names(problem)
     signature = problem.signature
     conjecture_name, _ = _problem_unit_names(signature)
-    grouped = list(_grouped_connectives(config))
-    grouped.extend((LOGIC, unit) for unit in frame_axioms(config))
+    grouped = list(_vocabulary(config))
     for p, arity in signature.predicates.items():
         grouped.append((None, Unit.type_decl(f"{p}_type", p, pred_type(arity))))
     for f, arity in signature.functions.items():

@@ -209,58 +209,60 @@ def collect_signature(problem: Problem) -> Signature:
     variable, FreeVariableError naming the alphabetically first one.  The
     first unit with a defect is the one reported.
     """
-    preds: dict[str, int] = {}
-    funcs: dict[str, int] = {}
-    consts: dict[str, None] = {}
-    loose: set[str] = set()
-
-    def scan_term(t: Term, bound: frozenset[str]):
-        if isinstance(t, Variable):
-            if t.name not in bound:
-                loose.add(t.name)
-        elif isinstance(t, Constant):
-            if t.name in preds:
-                raise SortClashError(t.name)
-            if t.name in funcs:
-                raise ArityClashError(t.name, funcs[t.name], 0)
-            consts.setdefault(t.name)
-        elif isinstance(t, FunctionApp):
-            if t.name in preds:
-                raise SortClashError(t.name)
-            if t.name in consts:
-                raise ArityClashError(t.name, 0, len(t.args))
-            arity = funcs.setdefault(t.name, len(t.args))
-            if arity != len(t.args):
-                raise ArityClashError(t.name, arity, len(t.args))
-            for a in t.args:
-                scan_term(a, bound)
-        else:
-            raise TypeError(f"not a term: {t!r}")
-
-    def scan(f: Formula, bound: frozenset[str]):
-        if isinstance(f, Atom):
-            if f.pred in funcs or f.pred in consts:
-                raise SortClashError(f.pred)
-            arity = preds.setdefault(f.pred, len(f.args))
-            if arity != len(f.args):
-                raise ArityClashError(f.pred, arity, len(f.args))
-            for a in f.args:
-                scan_term(a, bound)
-        elif isinstance(f, (Not, Box, Dia)):
-            scan(f.body, bound)
-        elif isinstance(f, (And, Or, Implies)):
-            scan(f.left, bound)
-            scan(f.right, bound)
-        elif isinstance(f, (Forall, Exists)):
-            scan(f.body, bound | {f.var})
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-
+    seen = preds, funcs, consts, loose = {}, {}, {}, set()
     for unit in problem.units:
-        scan(unit.formula, frozenset())
+        _scan(unit.formula, frozenset(), seen)
         if loose:
             raise FreeVariableError(unit.name, min(loose))
     return Signature(preds, funcs, tuple(consts))
+
+
+# module level and called by name, never through a closure of their own: a
+# function that calls itself through its closure cell is a reference cycle
+def _scan_term(t: Term, bound: frozenset[str], seen):
+    preds, funcs, consts, loose = seen
+    if isinstance(t, Variable):
+        if t.name not in bound:
+            loose.add(t.name)
+    elif isinstance(t, Constant):
+        if t.name in preds:
+            raise SortClashError(t.name)
+        if t.name in funcs:
+            raise ArityClashError(t.name, funcs[t.name], 0)
+        consts.setdefault(t.name)
+    elif isinstance(t, FunctionApp):
+        if t.name in preds:
+            raise SortClashError(t.name)
+        if t.name in consts:
+            raise ArityClashError(t.name, 0, len(t.args))
+        arity = funcs.setdefault(t.name, len(t.args))
+        if arity != len(t.args):
+            raise ArityClashError(t.name, arity, len(t.args))
+        for a in t.args:
+            _scan_term(a, bound, seen)
+    else:
+        raise TypeError(f"not a term: {t!r}")
+
+
+def _scan(f: Formula, bound: frozenset[str], seen):
+    preds, funcs, consts, _ = seen
+    if isinstance(f, Atom):
+        if f.pred in funcs or f.pred in consts:
+            raise SortClashError(f.pred)
+        arity = preds.setdefault(f.pred, len(f.args))
+        if arity != len(f.args):
+            raise ArityClashError(f.pred, arity, len(f.args))
+        for a in f.args:
+            _scan_term(a, bound, seen)
+    elif isinstance(f, (Not, Box, Dia)):
+        _scan(f.body, bound, seen)
+    elif isinstance(f, (And, Or, Implies)):
+        _scan(f.left, bound, seen)
+        _scan(f.right, bound, seen)
+    elif isinstance(f, (Forall, Exists)):
+        _scan(f.body, bound | {f.var}, seen)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
 
 
 def validate_problem(problem: Problem) -> Signature:

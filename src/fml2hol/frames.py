@@ -177,12 +177,7 @@ def _lanes(worlds, universe, unary, dead, tick):
     module docstring).  Each chunk is packed by the first walk that
     reaches it, in this search or an earlier one, and later walks replay
     it; once a walk is exhausted, the function drops the iterator and its
-    copy of the pool.  On a shared 2-CPU machine, with the frames built,
-    E1's 21 configurations search 3x3 in about 11 ms in all from a warm
-    store and 16 ms with the store emptied before each search, and the
-    four-predicate tautology at 3x1 takes 0.10 s from an empty store and
-    0.013 s warm under k:cumul (10 keys), 0.010 s and 0.005 s under
-    k:const (3 keys)."""
+    copy of the pool."""
     key = (worlds, universe, tuple(unary), dead)
     if key in _LANES:
         return _LANES[key][1]

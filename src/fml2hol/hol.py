@@ -264,69 +264,75 @@ def _normalize(term: Term, avoid: set[str], defs: dict) -> tuple[Term, set[str],
     with them in ``avoid``.  A constant defined in ``defs`` (closed
     bodies) evaluates to the value of its body, computed once.
     """
-    path = set(avoid)  # names a new binder must not take
-    free: set[str] = set()
-    chosen: set[str] = set()
-    values: dict[str, object] = {}
-    visiting: set[str] = set()
+    # the walk: definitions, free variables met, names a new binder must not
+    # take, names given to binders, definitions' values and those unfolding
+    walk = defs, set(), set(avoid), set(), {}, set()
+    return _quote(_evaluate(term, {}, walk), walk), walk[1], walk[3]
 
-    def unfold(name: str):
-        if name not in values:
-            if name in visiting:
-                raise CyclicDefinitionError(name)
-            visiting.add(name)
-            # every name the body mentions, under lambdas too, so that a
-            # cycle raises even where evaluation would not reach it
-            for used in _names(defs[name]):
-                if used in defs:
-                    unfold(used)
-            values[name] = evaluate(defs[name], {})
-            visiting.discard(name)
-        return values[name]
 
-    def bind(t, env):
-        # the body of a binder in a term position, under a fresh name
-        name = _fresh(t.var, path)
-        path.add(name)
-        chosen.add(name)
-        body = quote(evaluate(t.body, {**env, t.var: Var(name, t.var_type)}))
-        path.discard(name)
-        return name, body
+# module level and called by name, never through a closure of their own: a
+# function that calls itself through its closure cell is a reference cycle
+def _unfold(name: str, walk):
+    defs, _, _, _, values, visiting = walk
+    if name not in values:
+        if name in visiting:
+            raise CyclicDefinitionError(name)
+        visiting.add(name)
+        # every name the body mentions, under lambdas too, so that a
+        # cycle raises even where evaluation would not reach it
+        for used in _names(defs[name]):
+            if used in defs:
+                _unfold(used, walk)
+        values[name] = _evaluate(defs[name], {}, walk)
+        visiting.discard(name)
+    return values[name]
 
-    def quote(value):
-        if type(value) is not _Closure:
-            return value
-        name, body = bind(value, value.env)
-        return Lambda(name, value.var_type, body)
 
-    def evaluate(t: Term, env: dict):
-        cls = type(t)
-        if cls is App:
-            fun = evaluate(t.fun, env)
-            arg = evaluate(t.arg, env)
-            if type(fun) is _Closure:
-                return evaluate(fun.body, {**fun.env, fun.var: arg})
-            return App(fun, quote(arg))
-        if cls is Var:
-            value = env.get(t.name)
-            if value is None:
-                free.add(t.name)
-                return t
-            return value
-        if cls is Const:
-            return unfold(t.name) if t.name in defs else t
-        if cls is Lambda:
-            return _Closure(t.var, t.var_type, t.body, env)
-        if cls is And or cls is Or or cls is Implies:
-            return cls(quote(evaluate(t.left, env)), quote(evaluate(t.right, env)))
-        if cls is Not:
-            return Not(quote(evaluate(t.body, env)))
-        if cls is Forall or cls is Exists:
-            name, body = bind(t, env)
-            return cls(name, t.var_type, body)
-        raise TypeError(f"not a term: {t!r}")
+def _bind(t, env, walk):
+    # the body of a binder in a term position, under a fresh name
+    _, _, path, chosen, _, _ = walk
+    name = _fresh(t.var, path)
+    path.add(name)
+    chosen.add(name)
+    body = _quote(_evaluate(t.body, {**env, t.var: Var(name, t.var_type)}, walk), walk)
+    path.discard(name)
+    return name, body
 
-    return quote(evaluate(term, {})), free, chosen
+
+def _quote(value, walk):
+    if type(value) is not _Closure:
+        return value
+    name, body = _bind(value, value.env, walk)
+    return Lambda(name, value.var_type, body)
+
+
+def _evaluate(t: Term, env: dict, walk):
+    cls = type(t)
+    if cls is App:
+        fun = _evaluate(t.fun, env, walk)
+        arg = _evaluate(t.arg, env, walk)
+        if type(fun) is _Closure:
+            return _evaluate(fun.body, {**fun.env, fun.var: arg}, walk)
+        return App(fun, _quote(arg, walk))
+    if cls is Var:
+        value = env.get(t.name)
+        if value is None:
+            walk[1].add(t.name)  # free
+            return t
+        return value
+    if cls is Const:
+        return _unfold(t.name, walk) if t.name in walk[0] else t  # defined
+    if cls is Lambda:
+        return _Closure(t.var, t.var_type, t.body, env)
+    if cls is And or cls is Or or cls is Implies:
+        left = _quote(_evaluate(t.left, env, walk), walk)
+        return cls(left, _quote(_evaluate(t.right, env, walk), walk))
+    if cls is Not:
+        return Not(_quote(_evaluate(t.body, env, walk), walk))
+    if cls is Forall or cls is Exists:
+        name, body = _bind(t, env, walk)
+        return cls(name, t.var_type, body)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def beta_normalize(term: Term) -> Term:

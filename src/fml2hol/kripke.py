@@ -269,93 +269,7 @@ def _labeller(formula: fml.Formula):
     free: dict[str, int] = {}
     constants: dict[str, int] = {}
     slots = itertools.count()
-
-    def held(t: fml.Term, scope):
-        """The slot of a variable or a constant, None for other terms."""
-        if isinstance(t, fml.Constant):
-            # constants take the slots from the end: env[-1] is the first
-            return constants.setdefault(t.name, -1 - len(constants))
-        if not isinstance(t, fml.Variable):
-            return None
-        names = scope if t.name in scope else free
-        if t.name not in names:
-            names[t.name] = next(slots)
-        return names[t.name]
-
-    def term(t: fml.Term, scope):
-        slot = held(t, scope)
-        if slot is not None:
-            return lambda v, env: env[slot]
-        name = t.name
-        if isinstance(t, fml.FunctionApp):
-            args = [term(a, scope) for a in t.args]
-
-            def apply(v, env):
-                try:
-                    return v.funcs[(name, tuple(a(v, env) for a in args))]
-                except KeyError:
-                    raise UnknownSymbolError(name) from None
-
-            return apply
-        raise TypeError(f"not a term: {t!r}")
-
-    def compile(f: fml.Formula, scope):
-        if isinstance(f, fml.Atom):
-            pred = f.pred
-            keyed = [held(a, scope) for a in f.args]
-            if None not in keyed:
-                # variables and constants: the key straight from their slots
-                if len(keyed) == 1:
-                    slot = keyed[0]
-                    return lambda v, env: v.atoms.get((pred, env[slot]), 0)
-                if not keyed:
-                    key = (pred,)
-                    return lambda v, env: v.atoms.get(key, 0)
-                values = operator.itemgetter(*keyed)
-                return lambda v, env: v.atoms.get((pred, *values(env)), 0)
-            args = [term(a, scope) for a in f.args]
-            return lambda v, env: v.atoms.get((pred, *[a(v, env) for a in args]), 0)
-        if isinstance(f, fml.Not):
-            body = compile(f.body, scope)
-            return lambda v, env: v.full ^ body(v, env)
-        if isinstance(f, (fml.And, fml.Or, fml.Implies)):
-            left, right = compile(f.left, scope), compile(f.right, scope)
-            if isinstance(f, fml.And):
-                return lambda v, env: left(v, env) & right(v, env)
-            if isinstance(f, fml.Or):
-                return lambda v, env: left(v, env) | right(v, env)
-            return lambda v, env: (v.full ^ left(v, env)) | right(v, env)
-        if isinstance(f, fml.Box):
-            body = compile(f.body, scope)
-            return lambda v, env: v[body(v, env)]
-        if isinstance(f, fml.Dia):
-            body = compile(f.body, scope)
-            return lambda v, env: v.full ^ v[v.full ^ body(v, env)]
-        if isinstance(f, (fml.Forall, fml.Exists)):
-            slot = next(slots)
-            body = compile(f.body, {**scope, f.var: slot})
-            if isinstance(f, fml.Forall):
-
-                def forall(v, env):
-                    out = full = v.full
-                    for x, there in v.exists.items():
-                        env[slot] = x
-                        out &= body(v, env) | (full ^ there)
-                    return out
-
-                return forall
-
-            def exists(v, env):
-                out = 0
-                for x, there in v.exists.items():
-                    env[slot] = x
-                    out |= body(v, env) & there
-                return out
-
-            return exists
-        raise TypeError(f"not a formula: {f!r}")
-
-    root = compile(formula, {})
+    root = _compile(formula, {}, (free, constants, slots))
     size = next(slots)
 
     def label(view: _View, assignment=None) -> int:
@@ -370,6 +284,100 @@ def _labeller(formula: fml.Formula):
         return root(view, env)
 
     return label
+
+
+# _labeller's walkers, module level and called by name as _eval is: one
+# that calls itself through its closure cell would be a reference cycle.
+# known holds the free variables' and the constants' slots and the count
+# that hands out new ones
+def _held(t: fml.Term, scope, known):
+    """The slot of a variable or a constant, None for other terms."""
+    free, constants, slots = known
+    if isinstance(t, fml.Constant):
+        # constants take the slots from the end: env[-1] is the first
+        return constants.setdefault(t.name, -1 - len(constants))
+    if not isinstance(t, fml.Variable):
+        return None
+    names = scope if t.name in scope else free
+    if t.name not in names:
+        names[t.name] = next(slots)
+    return names[t.name]
+
+
+def _term(t: fml.Term, scope, known):
+    slot = _held(t, scope, known)
+    if slot is not None:
+        return lambda v, env: env[slot]
+    name = t.name
+    if isinstance(t, fml.FunctionApp):
+        args = [_term(a, scope, known) for a in t.args]
+
+        def apply(v, env):
+            try:
+                return v.funcs[(name, tuple(a(v, env) for a in args))]
+            except KeyError:
+                raise UnknownSymbolError(name) from None
+
+        return apply
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _compile(f: fml.Formula, scope, known):
+    if isinstance(f, fml.Atom):
+        pred = f.pred
+        keyed = [_held(a, scope, known) for a in f.args]
+        if None not in keyed:
+            # variables and constants: the key straight from their slots
+            if len(keyed) == 1:
+                slot = keyed[0]
+                return lambda v, env: v.atoms.get((pred, env[slot]), 0)
+            if not keyed:
+                key = (pred,)
+                return lambda v, env: v.atoms.get(key, 0)
+            values = operator.itemgetter(*keyed)
+            return lambda v, env: v.atoms.get((pred, *values(env)), 0)
+        args = [_term(a, scope, known) for a in f.args]
+        return lambda v, env: v.atoms.get((pred, *[a(v, env) for a in args]), 0)
+    if isinstance(f, fml.Not):
+        body = _compile(f.body, scope, known)
+        return lambda v, env: v.full ^ body(v, env)
+    if isinstance(f, (fml.And, fml.Or, fml.Implies)):
+        left, right = _compile(f.left, scope, known), _compile(f.right, scope, known)
+        if isinstance(f, fml.And):
+            return lambda v, env: left(v, env) & right(v, env)
+        if isinstance(f, fml.Or):
+            return lambda v, env: left(v, env) | right(v, env)
+        return lambda v, env: (v.full ^ left(v, env)) | right(v, env)
+    if isinstance(f, fml.Box):
+        body = _compile(f.body, scope, known)
+        return lambda v, env: v[body(v, env)]
+    if isinstance(f, fml.Dia):
+        body = _compile(f.body, scope, known)
+        return lambda v, env: v.full ^ v[v.full ^ body(v, env)]
+    if isinstance(f, (fml.Forall, fml.Exists)):
+        *_, slots = known
+        slot = next(slots)
+        body = _compile(f.body, {**scope, f.var: slot}, known)
+        if isinstance(f, fml.Forall):
+
+            def forall(v, env):
+                out = full = v.full
+                for x, there in v.exists.items():
+                    env[slot] = x
+                    out &= body(v, env) | (full ^ there)
+                return out
+
+            return forall
+
+        def exists(v, env):
+            out = 0
+            for x, there in v.exists.items():
+                env[slot] = x
+                out |= body(v, env) & there
+            return out
+
+        return exists
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def label_fml(model, formula: fml.Formula, assignment=None) -> int:
@@ -706,9 +714,9 @@ def _search(worlds, frames, universe, sig, assumptions, goal, domain, tick):
     or, under cumulative domains, once per frame, and the search asks
     _lanes for other packed behaviours only when they change; _lanes keeps
     them per process, so later sizes and searches replay their chunks.
-    Packed lanes so meet those clauses; the lanes that fail a varying-domain clause are masked once
-    per chunk and choice, before any labelling pass, and a chunk with no
-    lane left is not labelled.
+    Packed lanes so meet those clauses; the lanes that fail a
+    varying-domain clause are masked once per chunk and choice, before
+    any labelling pass, and a chunk with no lane left is not labelled.
 
     Only the slots that the units read are filled.  The labeller reads
     the same atoms whatever the frame, the existence masks and the atom
@@ -829,16 +837,12 @@ def find_countermodel(
     a time.  The behaviors packed into lanes are kept per process, like
     the frames, by worlds, individuals, unary predicate names and admitted
     vectors (frames._lanes, within a fixed bound), so a later size, frame
-    or search with the same key replays the chunks packed before: E1's 21
-    configurations at 3x3 take about 11 ms in all from a warm store and 16
-    ms with the store emptied before each search, and the four-predicate
-    tautology at 3x1 under k:cumul 0.013 s and 0.10 s (shared 2-CPU
-    machine, frames built).  Each unit is
-    compiled once into a labeller, and a candidate is tested by labelling:
-    the conjecture's mask must miss w1 and every assumption's must hold
-    every world.  Candidates that share a frame
-    and a choice of constants and functions are labelled together, one
-    per lane, in chunks of at most _WIDTH; the lanes that fail the
+    or search with the same key replays the chunks packed before.  Each
+    unit is compiled once into a labeller, and a candidate is tested by
+    labelling: the conjecture's mask must miss w1 and every assumption's
+    must hold every world.  Candidates that share a frame and a choice
+    of constants and functions are labelled together, one per lane, in
+    chunks of at most _WIDTH; the lanes that fail the
     varying-domain clauses (non-emptiness, designation and closure) are
     masked out once per chunk and choice, before labelling, and the least
     hit lane of the first chunk with a hit, at its first hit fill, is the
@@ -973,15 +977,7 @@ def parse_model(text: str) -> KripkeModel:
         raise ModelError("missing universe line")
     for w in worlds:
         dom.setdefault(w, frozenset(universe))
-    return KripkeModel(
-        worlds,
-        frozenset(rel),
-        universe,
-        dom,
-        consts,
-        funcs,
-        {k: frozenset(v) for k, v in preds.items()},
-    )
+    return KripkeModel(worlds, rel, universe, dom, consts, funcs, preds)
 
 
 def print_model(model: KripkeModel) -> str:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and SZS plumbing."""
 
+import gc
 import itertools
 import os
 import pathlib
@@ -434,6 +435,34 @@ def test_eval_labels_the_conjecture_once(monkeypatch, tmp_path, capsys, e1_path)
     assert main(["eval", e1_path, "--model", str(fixture), "-f", "thf:k:vary"]) == 0
     assert capsys.readouterr().out == "false at w1\ntrue at w2\ncorrespondence OK\n"
     assert len(calls) == 1
+
+
+def test_eval_op_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # the walkers an eval op runs (signature scan, labeller compiler,
+    # normaliser) form no reference cycle, so the op leaves nothing that
+    # waits for the cycle collector; the first op fills the caches
+    problem = tmp_path / "p.qmf"
+    problem.write_text("qmf(ax,axiom,( r(c,g(c)) )).\n" + E1_TEXT, encoding="utf-8")
+    fixture = tmp_path / "p.model"
+    fixture.write_text(
+        FIXTURE_TEXT.replace("dom w1: a\n", "")
+        + "const c = a\nfun g(a) = b\nfun g(b) = a\npred r @ w1: a,b\npred r @ w2: a,b\n",
+        encoding="utf-8",
+    )
+    argv = ["eval", str(problem), "--model", str(fixture), "-f", "thf:k:vary"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert capsys.readouterr().out.endswith("correspondence OK\n")
 
 
 def test_eval_reports_per_world_values(tmp_path, capsys, e1_path):

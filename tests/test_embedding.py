@@ -1,5 +1,7 @@
 """Frame tables, lifted vocabulary, and problem embedding."""
 
+import functools
+import hashlib
 import itertools
 
 import pytest
@@ -110,6 +112,49 @@ def test_connective_definitions_k_constant_minimal():
 def test_connective_definitions_order_declares_before_use():
     for cfg in ALL_CONFIGS:
         hol.check_problem(hol.Problem(connective_definitions(cfg)))
+
+
+# sha1 of the repr of every config's connective definitions and frame
+# axioms, in ALL_CONFIGS order, as built before each config's vocabulary
+# was kept: keeping it changes no unit
+VOCABULARY_DIGEST = "7edf335c65607adb44b131e4b649afde25f53388"
+
+
+def test_vocabulary_units_are_unchanged():
+    got = repr([(connective_definitions(cfg), frame_axioms(cfg)) for cfg in ALL_CONFIGS])
+    assert hashlib.sha1(got.encode()).hexdigest() == VOCABULARY_DIGEST
+
+
+def test_problems_under_one_config_share_its_vocabulary():
+    cfg = config("s5", "cumul")
+    other = qmf.parse_problem("qmf(a,axiom,( p(c) )). qmf(con,conjecture,( #box : ( p(c) ) )).")
+    vocabulary = connective_definitions(cfg) + frame_axioms(cfg)
+    for problem in (E1, other, E1):
+        units = embed_problem(problem, cfg).units
+        assert len(units) > len(vocabulary)
+        assert all(a is b for a, b in zip(units, vocabulary))
+
+
+def test_each_config_vocabulary_is_built_once(monkeypatch):
+    # every config is built by check_names already, and never again
+    build, built = embedding._vocabulary.__wrapped__, []
+
+    def counted(cfg):
+        built.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(embedding, "_vocabulary", functools.cache(counted))
+    monkeypatch.setattr(
+        embedding, "_reserved_names", functools.cache(embedding._reserved_names.__wrapped__)
+    )
+    embedding.check_names(E1)
+    assert sorted(built, key=ALL_CONFIGS.index) == ALL_CONFIGS
+    for cfg in ALL_CONFIGS:
+        embed_problem(E1, cfg)
+        connective_definitions(cfg)
+        frame_axioms(cfg)
+    embedding.check_names(E1)
+    assert len(built) == len(ALL_CONFIGS) == 21
 
 
 def test_box_definition_shape():

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import time
+import traceback
 import tracemalloc
 import weakref
 
@@ -868,15 +869,33 @@ def test_find_countermodel_timeout_with_two_binary_functions():
     assert time.monotonic() - start < 5
 
 
-def test_find_countermodel_timeout_while_listing_behaviors():
+def test_find_countermodel_timeout_while_listing_behaviors(monkeypatch):
     # six unary predicates at three worlds: 2^3 x 2^18 behaviours per frame;
-    # S5 has one frame per size, so the search reaches them early
+    # S5 has one frame per size, so the search reaches them early.  From an
+    # empty store, the 3-world listing meets its deadline after a fixed
+    # number of checks, and the deadline leaves through the walk that lists;
+    # the time budget only ends a search whose listing never checks
+    monkeypatch.setattr(frames, "_LANES", {})
+    lanes, ticks, left = kripke._lanes, itertools.count(), []
+
+    def interrupted(worlds, universe, unary, dead, tick):
+        def late():
+            if len(worlds) == 3 and next(ticks) == 1000:
+                raise kripke._Deadline
+
+        try:
+            return lanes(worlds, universe, unary, dead, late)
+        except kripke._Deadline as deadline:
+            left.append(traceback.extract_tb(deadline.__traceback__)[-2].name)
+            raise
+
+    monkeypatch.setattr(kripke, "_lanes", interrupted)
     body = " & ".join(f"( p{i}(X) | ~ ( p{i}(X) ) )" for i in range(6))
     problem = qmf.parse_problem(f"qmf(con,conjecture,( ! [X] : ( {body} ) )).")
-    start = time.monotonic()
-    result = find_countermodel(problem, config("s5", "vary"), SearchBounds(3, 1, time_budget=1))
+    result = find_countermodel(problem, config("s5", "vary"), SearchBounds(3, 1, time_budget=5))
     assert isinstance(result, Timeout)
-    assert time.monotonic() - start < 1.5
+    assert left == ["_walk"]
+    assert all(len(key[0]) < 3 for key in frames._LANES)  # nothing kept of it
 
 
 @pytest.mark.parametrize(
