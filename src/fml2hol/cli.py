@@ -22,9 +22,6 @@ import errno
 import math
 import os
 import re
-import shlex
-import signal
-import subprocess
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -90,6 +87,12 @@ def run_prover(path: str, command: str, timeout: float | None = None) -> SzsStat
     """
     if timeout is not None and not timeout > 0:
         raise ValueError("timeout must be positive")
+    # imported here, not at the top: no other command spawns a process,
+    # and every process of the others would pay for these imports
+    import shlex
+    import signal
+    import subprocess
+
     cmd = [part.replace("{file}", str(path)) for part in shlex.split(command)]
     try:
         proc = subprocess.Popen(

@@ -16,6 +16,7 @@ the unit belongs to, both set where the units are built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, reduce
@@ -459,13 +460,15 @@ _LIFTED = {
 def embed_formula(formula: fml.Formula, config: TranslationConfig) -> hol.Term:
     """Map a closed modal formula to a term of type $i > $o."""
     if isinstance(formula, fml.Atom):
+        if not formula.args:
+            return Const(formula.pred, PROP)
         head = Const(formula.pred, pred_type(len(formula.args)))
-        return apply(head, *(embed_term(a) for a in formula.args))
-    if isinstance(formula, fml.Not):
-        return apply(MNOT, embed_formula(formula.body, config))
+        return apply(head, *[embed_term(a) for a in formula.args])
     if isinstance(formula, (fml.And, fml.Or, fml.Implies)):
-        left, right = embed_formula(formula.left, config), embed_formula(formula.right, config)
-        return apply(_LIFTED[type(formula)], left, right)
+        left = App(_LIFTED[type(formula)], embed_formula(formula.left, config))
+        return App(left, embed_formula(formula.right, config))
+    if isinstance(formula, fml.Not):
+        return App(MNOT, embed_formula(formula.body, config))
     if isinstance(formula, fml.Box):
         return apply(box_const(config.logic), embed_formula(formula.body, config))
     if isinstance(formula, fml.Dia):
@@ -550,8 +553,7 @@ def embed_problem(problem: fml.Problem, config: TranslationConfig) -> EmbeddedPr
         grouped.append((None, Unit.formula(name, kind, payload)))
     groups, units = zip(*grouped)
 
-    names = [u.name for u in units]
-    duplicates = {n for n in names if names.count(n) > 1}
+    duplicates = [n for n, count in Counter(u.name for u in units).items() if count > 1]
     if duplicates:
         raise EmbeddingError(
             "duplicate unit names after embedding: " + ", ".join(sorted(duplicates))

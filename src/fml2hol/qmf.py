@@ -16,12 +16,15 @@ printer never emits them.  ``include`` directives and indexed modalities
 are rejected: problems are self-contained and have a single accessibility
 relation.
 
-The tokenizer is one regular expression matched along the text; a
-``ParseError`` carries the line and column of the offending token (end of
-input is placed after the last character).  ``parse_problem`` returns an
-``fml.Problem``, which validates itself when it is built, so a problem
-this module returns is closed, has at most one conjecture and carries its
-signature; ``parse_formula`` reads a bare formula without those checks.
+The tokenizer is one regular expression matched along the text, and a
+token is a ``(kind, text, start)`` tuple.  A ``ParseError`` carries the
+line and column of the offending token (end of input is placed after the
+last character); they are computed from ``start`` only when the error is
+raised.  A lexical error is reported before any syntax error, wherever
+it is in the text.  ``parse_problem`` returns an ``fml.Problem``, which
+validates itself when it is built, so a problem this module returns is
+closed, has at most one conjecture and carries its signature;
+``parse_formula`` reads a bare formula without those checks.
 """
 
 from __future__ import annotations
@@ -67,216 +70,214 @@ class ParseError(Exception):
         self.found = found
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'lower', 'upper', or the operator text itself
-    text: str
-    line: int
-    col: int
-
-    def span(self) -> Span:
-        return Span(self.line, self.col, max(len(self.text), 1))
-
-
-# One alternative per token class, tried in order at each position; the
-# last one takes any other character, so the matches tile the text.
-# Quoted atoms appear only in include directives, which the parser
-# rejects with a pointed message; they are lexed so that it can.
+# One alternative per token class, tried in order after a run of
+# whitespace and comments; the last but one takes any other character and
+# the last matches at the end, so the matches tile the text.  Quoted atoms
+# appear only in include directives, which the parser rejects with a
+# pointed message; they are lexed so that it can.
 _TOKEN = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]|%[^\n]*)+)"
-    r"|(?P<upper>[A-Z][a-zA-Z0-9_]*)"
+    r"(?:[ \t\r\n]|%[^\n]*)*"
+    r"(?:(?P<upper>[A-Z][a-zA-Z0-9_]*)"
     r"|(?P<lower>[a-z][a-zA-Z0-9_]*)"
     r"|(?P<op><=>|<=|=>|#(?:box|dia)(?![a-zA-Z0-9_])|[()\[\],.:~&|!?])"
     r"|(?P<hash>#(?:[a-zA-Z][a-zA-Z0-9_]*)?)"
     r"|(?P<quoted>'[^']*')"
-    r"|(?P<bad>.)",
+    r"|(?P<bad>.)"
+    r"|(?P<eof>\Z))",
     re.DOTALL,
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text as (kind, text, start) tuples, kind being the
+    name of the group that matched; the list ends in an 'eof' token (two,
+    after trailing whitespace).  'hash' and 'bad' tokens are lexical
+    errors, which the parser reports when it fails."""
+    return [
+        (kind, m.group(kind), m.start(kind))
+        for m in _TOKEN.finditer(text)
+        for kind in (m.lastgroup,)
+    ]
+
+
+def _span(text: str, start: int, length: int = 1) -> Span:
+    """The line and column of the token at start.  Lines are counted in
+    the whitespace between tokens only, so a quoted atom that spans lines
+    leaves the line count as it was; only an error pays for this walk."""
     line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind, word, start = m.lastgroup, m.group(), m.start()
-        if kind == "skip":
-            if "\n" in word:
-                line += word.count("\n")
-                line_start = text.rfind("\n", start, m.end()) + 1
-            continue
-        col = start - line_start + 1
-        if kind == "op":
-            kind = word
-        elif kind == "hash":
-            raise ParseError(Span(line, col), "'#box' or '#dia'", f"'{word}'")
-        elif kind == "bad":
-            if word == "'":
-                raise ParseError(Span(line, col), "a closing quote", "end of input")
-            raise ParseError(Span(line, col), "a token", repr(word))
-        tokens.append(_Token(kind, word, line, col))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    for m in _TOKEN.finditer(text, 0, start):
+        gap, token = m.start(), m.start(m.lastgroup)
+        breaks = text.count("\n", gap, token)
+        if breaks:
+            line += breaks
+            line_start = text.rfind("\n", gap, token) + 1
+    return Span(line, start - line_start + 1, length)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the token tuples: words are matched by kind
+    (tok[0]) and operators by their text (tok[1]), which no word, quoted
+    atom or lexical error can equal."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def error(self, tok: tuple[str, str, int], expected: str) -> ParseError:
+        """The error at tok; but if the text has a lexical error, the first
+        one is reported instead, wherever the parse stopped."""
+        for kind, word, start in self.tokens:
+            if kind == "hash":
+                return ParseError(_span(self.text, start), "'#box' or '#dia'", f"'{word}'")
+            if kind == "bad":
+                if word == "'":
+                    return ParseError(_span(self.text, start), "a closing quote", "end of input")
+                return ParseError(_span(self.text, start), "a token", repr(word))
+        found = "end of input" if tok[0] == "eof" else f"'{tok[1]}'"
+        return ParseError(_span(self.text, tok[2], max(len(tok[1]), 1)), expected, found)
 
     def fail(self, expected: str):
-        tok = self.peek()
-        found = "end of input" if tok.kind == "eof" else f"'{tok.text}'"
-        raise ParseError(tok.span(), expected, found)
+        raise self.error(self.tokens[self.pos], expected)
 
-    def expect(self, kind: str, expected: str | None = None) -> _Token:
-        if self.peek().kind != kind:
-            self.fail(expected or f"'{kind}'")
-        return self.advance()
+    def expect(self, op: str, expected: str | None = None) -> None:
+        if self.tokens[self.pos][1] != op:
+            self.fail(expected or f"'{op}'")
+        self.pos += 1
+
+    def word(self, kind: str, expected: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            self.fail(expected)
+        self.pos += 1
+        return tok
 
     def problem(self) -> Problem:
         units = []
-        while self.peek().kind != "eof":
+        while self.tokens[self.pos][0] != "eof":
             units.append(self.unit())
         return Problem(tuple(units))
 
     def unit(self) -> AnnotatedFormula:
-        tok = self.peek()
-        if tok.kind == "lower" and tok.text == "include":
-            raise ParseError(
-                tok.span(),
+        tok = self.tokens[self.pos]
+        if tok[1] == "include":
+            raise self.error(
+                tok,
                 "'qmf' (include directives are not supported; "
                 "problems must be self-contained)",
-                "'include'",
             )
-        if tok.kind != "lower" or tok.text != "qmf":
+        if tok[1] != "qmf":
             self.fail("'qmf'")
-        self.advance()
+        self.pos += 1
         self.expect("(")
-        name = self.expect("lower", "a unit name").text
+        name = self.word("lower", "a unit name")[1]
         self.expect(",")
-        role_tok = self.expect("lower", "a role")
-        if role_tok.text not in ROLES:
-            raise ParseError(
-                role_tok.span(),
-                "one of " + ", ".join(ROLES),
-                f"'{role_tok.text}'",
-            )
+        role = self.word("lower", "a role")
+        if role[1] not in ROLES:
+            raise self.error(role, "one of " + ", ".join(ROLES))
         self.expect(",")
         body = self.formula()
         self.expect(")")
         self.expect(".")
-        return AnnotatedFormula(name, role_tok.text, body)
+        return AnnotatedFormula(name, role[1], body)
 
     def formula(self) -> Formula:
         left = self.disjunction()
-        kind = self.peek().kind
-        if kind == "=>":
-            self.advance()
+        op = self.tokens[self.pos][1]
+        if op == "=>":
+            self.pos += 1
             return Implies(left, self.formula())
-        if kind == "<=":
-            self.advance()
+        if op == "<=":
+            self.pos += 1
             return Implies(self.formula(), left)
-        if kind == "<=>":
-            self.advance()
+        if op == "<=>":
+            self.pos += 1
             right = self.formula()
             return And(Implies(left, right), Implies(right, left))
         return left
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
-        while self.peek().kind == "|":
-            self.advance()
+        while self.tokens[self.pos][1] == "|":
+            self.pos += 1
             left = Or(left, self.conjunction())
         return left
 
     def conjunction(self) -> Formula:
         left = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
+        while self.tokens[self.pos][1] == "&":
+            self.pos += 1
             left = And(left, self.unary())
         return left
 
     def unary(self) -> Formula:
-        kind = self.peek().kind
-        if kind == "~":
-            self.advance()
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "lower":
+            self.pos += 1
+            return Atom(text, self.arguments())
+        if text == "~":
+            self.pos += 1
             return Not(self.unary())
-        if kind in ("#box", "#dia"):
-            op = self.advance()
-            if self.peek().kind == "(":
-                raise ParseError(
-                    self.peek().span(),
-                    f"':' after '{op.text}' (indexed modalities are not supported)",
-                    "'('",
+        if text in ("#box", "#dia"):
+            self.pos += 1
+            if self.tokens[self.pos][1] == "(":
+                raise self.error(
+                    self.tokens[self.pos],
+                    f"':' after '{text}' (indexed modalities are not supported)",
                 )
-            self.expect(":", f"':' after '{op.text}'")
+            self.expect(":", f"':' after '{text}'")
             body = self.unary()
-            return Box(body) if op.kind == "#box" else Dia(body)
-        if kind in ("!", "?"):
-            op = self.advance()
+            return Box(body) if text == "#box" else Dia(body)
+        if text in ("!", "?"):
+            self.pos += 1
             self.expect("[")
-            names = [self.expect("upper", "a variable").text]
-            while self.peek().kind == ",":
-                self.advance()
-                names.append(self.expect("upper", "a variable").text)
+            names = [self.word("upper", "a variable")[1]]
+            while self.tokens[self.pos][1] == ",":
+                self.pos += 1
+                names.append(self.word("upper", "a variable")[1])
             self.expect("]")
             self.expect(":")
             body = self.formula()  # extends as far right as possible
-            cls = Forall if op.kind == "!" else Exists
+            cls = Forall if text == "!" else Exists
             for name in reversed(names):
                 body = cls(name, body)
             return body
-        if kind == "(":
-            self.advance()
+        if text == "(":
+            self.pos += 1
             body = self.formula()
             self.expect(")")
             return body
-        if kind == "lower":
-            return self.atom()
         self.fail("a formula")
 
-    def atom(self) -> Atom:
-        name = self.expect("lower", "a predicate").text
-        return Atom(name, self.arguments())
-
     def arguments(self) -> tuple[Term, ...]:
-        if self.peek().kind != "(":
+        if self.tokens[self.pos][1] != "(":
             return ()
-        self.advance()
+        self.pos += 1
         args = [self.term()]
-        while self.peek().kind == ",":
-            self.advance()
+        while self.tokens[self.pos][1] == ",":
+            self.pos += 1
             args.append(self.term())
         self.expect(")")
         return tuple(args)
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "upper":
-            self.advance()
-            return Variable(tok.text)
-        if tok.kind == "lower":
-            self.advance()
-            if self.peek().kind == "(":
-                return FunctionApp(tok.text, self.arguments())
-            return Constant(tok.text)
+        kind, name, _ = self.tokens[self.pos]
+        if kind == "upper":
+            self.pos += 1
+            return Variable(name)
+        if kind == "lower":
+            self.pos += 1
+            if self.tokens[self.pos][1] == "(":
+                return FunctionApp(name, self.arguments())
+            return Constant(name)
         self.fail("a term")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a single bare formula (no qmf wrapper, no validation)."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     body = parser.formula()
-    if parser.peek().kind != "eof":
+    if parser.tokens[parser.pos][0] != "eof":
         parser.fail("end of input")
     return body
 
@@ -284,7 +285,7 @@ def parse_formula(text: str) -> Formula:
 def parse_problem(text: str) -> Problem:
     """Parse a full problem; building the ``Problem`` validates it
     (closure, conjecture count, arities) and records its signature."""
-    return _Parser(_tokenize(text)).problem()
+    return _Parser(text).problem()
 
 
 def print_term(t: Term) -> str:

@@ -18,13 +18,18 @@ reference_eval_fml.  reference_beta_normalize and
 reference_expand_definitions are plain normal-order reduction by
 capture-avoiding substitution, the reference that hol.beta_normalize and
 hol.expand_definitions (evaluation and read-back) are tested against.
+reference_tokenize is the qmf lexer that computed every token's line and
+column as it went, the reference for the positions that qmf computes from
+a token's offset when it raises; reference_wrap is the word-by-word line
+breaking that thf._wrap is tested against.
 """
 
 import itertools
 import random
+import re
 from types import SimpleNamespace
 
-from fml2hol import embedding, fml, hol, kripke
+from fml2hol import embedding, fml, hol, kripke, qmf
 from fml2hol.embedding import DomainCondition, Logic
 
 INDIVIDUALS = ("a", "b", "c")
@@ -446,6 +451,62 @@ def reference_expand_definitions(problem: hol.Problem, term: hol.Term) -> hol.Te
         return type(t)(inline(t.left), inline(t.right))
 
     return reference_beta_normalize(inline(term))
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]|%[^\n]*)+)"
+    r"|(?P<upper>[A-Z][a-zA-Z0-9_]*)"
+    r"|(?P<lower>[a-z][a-zA-Z0-9_]*)"
+    r"|(?P<op><=>|<=|=>|#(?:box|dia)(?![a-zA-Z0-9_])|[()\[\],.:~&|!?])"
+    r"|(?P<hash>#(?:[a-zA-Z][a-zA-Z0-9_]*)?)"
+    r"|(?P<quoted>'[^']*')"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of text as (kind, text, line, column), an operator's
+    kind being its text, ending in an 'eof' token; the first lexical
+    error raises the qmf.ParseError the lexer raised for it.  Lines are
+    counted in the whitespace between tokens only."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind, word, start = m.lastgroup, m.group(), m.start()
+        if kind == "skip":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = text.rfind("\n", start, m.end()) + 1
+            continue
+        col = start - line_start + 1
+        if kind == "op":
+            kind = word
+        elif kind == "hash":
+            raise qmf.ParseError(qmf.Span(line, col), "'#box' or '#dia'", f"'{word}'")
+        elif kind == "bad":
+            if word == "'":
+                raise qmf.ParseError(qmf.Span(line, col), "a closing quote", "end of input")
+            raise qmf.ParseError(qmf.Span(line, col), "a token", repr(word))
+        tokens.append((kind, word, line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def reference_wrap(line: str, width: int) -> str:
+    """line broken at spaces, word by word: a word goes on the current
+    line if the line stays within width, else it starts a new line
+    indented by four spaces."""
+    if len(line) <= width:
+        return line
+    words = line.split(" ")
+    lines = [words[0]]
+    for word in words[1:]:
+        if len(lines[-1]) + 1 + len(word) <= width:
+            lines[-1] += " " + word
+        else:
+            lines.append("    " + word)
+    return "\n".join(lines)
 
 
 _RANDOM_HOL_NAMES = ("X", "Y", "Z")

@@ -363,6 +363,19 @@ def test_embed_problem_rejects_type_suffix_collisions():
         embed_problem(problem, config("k", "const"))
 
 
+def test_embed_problem_names_each_duplicate_once_in_order():
+    # zz three times, mm twice, p_type against the declaration of p; the
+    # conjecture is renamed prove, so its name clashes with nothing
+    problem = qmf.parse_problem(
+        "qmf(zz,axiom,( p )). qmf(mm,axiom,( p )). qmf(zz,hypothesis,( p )). "
+        "qmf(p_type,axiom,( p )). qmf(zz,definition,( p )). qmf(mm,axiom,( p )). "
+        "qmf(zz,conjecture,( p ))."
+    )
+    with pytest.raises(EmbeddingError) as exc:
+        embed_problem(problem, config("k", "const"))
+    assert str(exc.value) == "duplicate unit names after embedding: mm, p_type, zz"
+
+
 def test_guarding_discipline():
     for logic in Logic:
         units = embed_problem(E1, TranslationConfig(logic, DomainCondition.CONSTANT)).units

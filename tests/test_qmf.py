@@ -238,3 +238,82 @@ def test_print_parse_identity_problems():
     for _ in range(100):
         problem = helpers.random_problem(r)
         assert qmf.parse_problem(qmf.print_problem(problem)) == problem
+
+
+def assert_positions_match_reference(text):
+    """Every token of text is placed where reference_tokenize placed it,
+    and a ParseError names the reference's position of the token it
+    stopped at (a lexical error: the reference's whole error)."""
+    try:
+        reference = helpers.reference_tokenize(text)
+    except qmf.ParseError as lexical:
+        with pytest.raises(qmf.ParseError) as exc:
+            qmf.parse_problem(text)
+        assert (str(exc.value), exc.value.span) == (str(lexical), lexical.span)
+        return
+    tokens = qmf._tokenize(text)
+    tokens = tokens[: [kind for kind, _, _ in tokens].index("eof") + 1]
+    assert [(word if kind == "op" else kind, word) for kind, word, _ in tokens] == [
+        (kind, word) for kind, word, _, _ in reference
+    ]
+    for (_, word, start), (_, _, line, col) in zip(tokens, reference):
+        assert qmf._span(text, start, max(len(word), 1)) == qmf.Span(line, col, max(len(word), 1))
+    try:
+        qmf.parse_problem(text)
+    except qmf.ParseError as exc:
+        span = exc.span
+        (kind, word, line, col), = [t for t in reference if t[2:] == (span.line, span.col)]
+        found = "end of input" if kind == "eof" else f"'{word}'"
+        assert str(exc) == f"{line}:{col}: expected {exc.expected}, found {found}"
+        assert span.length == max(len(word), 1)
+    except fml.ProblemError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        " \t\r\n",
+        "% a comment and nothing else",
+        "% a comment\n%% and another\n",
+        "qmf(a,axiom,p). % c\r\n\tqmf(b,axiom,( q & )).",
+        "\tqmf(a,\taxiom,\t$).",
+        "qmf(a,axiom,p).\r\n% c\r\nqmf(b,axiom,#sq : p).",
+        "qmf(a,axiom,p).\r\n\r\nqmf(b,axiom,q)",
+        "qmf(a,axiom,p)",
+        "qmf(a,axiom,p).\nqmf(b,axiom,( q",
+        "qmf(a,axiom,p) % no newline",
+        "qmf(a,axiom,p).\n\n\n",
+        "qmf(a,axiom,'p').",
+        "qmf(a,axiom,'two\nlines').",
+        # a newline inside a quoted atom does not count as a line break
+        "include('x\ny')\n $",
+        "include('x\ny') %\n #q",
+        "qmf(a,axiom,p).\n'unterminated",
+        "qmf(a,\n  lemma, p).",
+        "qmf(a,axiom,#box(1) : p).",
+    ],
+)
+def test_token_positions_hand_cases(text):
+    assert_positions_match_reference(text)
+
+
+def test_token_positions_of_mutated_problems():
+    r = helpers.make_rng(2902)
+    alphabet = " \t\r\n%$'#()[],.:~&|!?=<>XYacpq_1"
+    for _ in range(30):
+        problems = [helpers.random_problem(r) for _ in range(r.randint(1, 3))]
+        text = "% seeded\n" + "".join(qmf.print_problem(p) for p in problems)
+        if r.random() < 0.5:
+            text = text.replace("\n", "\r\n")
+        for _ in range(12):
+            i = r.randrange(len(text) + 1)
+            edit = r.choice(("insert", "replace", "delete"))
+            if edit == "insert":
+                mutated = text[:i] + r.choice(alphabet) + text[i:]
+            elif edit == "replace":
+                mutated = text[:i] + r.choice(alphabet) + text[i + 1 :]
+            else:
+                mutated = text[:i] + text[i + 1 :]
+            assert_positions_match_reference(mutated)

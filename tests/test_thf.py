@@ -1,6 +1,11 @@
 """Concrete-syntax emission: parenthesization, wrapping, and file layouts."""
 
+import dataclasses
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -345,3 +350,111 @@ def test_translation_digests_all_configs():
                     digest.update(repr((out.problem_text, out.axiom_files)).encode())
                 got[f"{cfg.name}:{layout}"] = digest.hexdigest()
     assert got == TRANSLATION_DIGESTS
+
+
+# E1 with a constant and a function besides, so that under varying and
+# cumulative domains every group of the include layout has units of its own
+E1_FC = qmf.parse_problem(
+    "qmf(ax,axiom,( p(g(c)) )). qmf(con,conjecture,("
+    " ( ! [X] : ( #box : ( f(X) ) ) ) => ( #box : ( ! [X] : ( f(X) ) ) ) ))."
+)
+LAYOUTS = (thf.Inline(), thf.Include("ax", "p"))
+
+
+def copied(problem: embedding.EmbeddedProblem) -> embedding.EmbeddedProblem:
+    """problem with every unit replaced by an equal copy: the same text,
+    but none of the vocabulary's own unit objects"""
+    return dataclasses.replace(problem, units=tuple(dataclasses.replace(u) for u in problem.units))
+
+
+def test_wrap_matches_the_word_by_word_reference():
+    r = helpers.make_rng(2901)
+    for _ in range(3000):
+        # empty words (two spaces in a row) and widths under the indent too
+        words = ["x" * r.randint(0, 12) for _ in range(r.randint(1, 30))]
+        line, width = " ".join(words), r.randint(-3, 60)
+        assert thf._wrap(line, width) == helpers.reference_wrap(line, width)
+    for problem in (E1_FC, qmf.parse_problem(
+        "qmf(con,conjecture,( " + " & ".join(["p"] * 300) + " ))."
+    )):
+        for unit in embed(problem, "s5", "cumul").units:
+            line = thf.emit_unit(unit)
+            for width in (1, 60, 100):
+                assert thf._wrap(line, width) == helpers.reference_wrap(line, width)
+
+
+def test_only_the_vocabulary_itself_is_served_from_the_cache(monkeypatch):
+    problem = embed(E1_FC, "s4", "vary")
+    n = len(embedding._vocabulary(problem.config))
+    expected = [thf.emit_problem(problem, mode) for mode in LAYOUTS]
+    other_config = dataclasses.replace(problem, config=config("s4", "cumul"))
+    thf.emit_problem(other_config)  # fills the cache of s4:cumul before counting
+    rendered = []
+    emit_unit = thf.emit_unit
+    monkeypatch.setattr(thf, "emit_unit", lambda unit: rendered.append(unit) or emit_unit(unit))
+
+    def emitted(p, mode):
+        """p's output in mode, and the ids of the units rendered for it"""
+        rendered.clear()
+        return thf.emit_problem(p, mode), sorted(map(id, rendered))
+
+    def ids(units):
+        return sorted(map(id, units))
+
+    index = [u.name for u in problem.units].index("mnot")
+    swapped_unit = hol.Unit.definition("mnot", "mnot", Lambda("Phi", PROP, Var("Phi", PROP)))
+    swapped = dataclasses.replace(
+        problem, units=problem.units[:index] + (swapped_unit,) + problem.units[index + 1 :]
+    )
+    hand_built = copied(problem)
+    for mode, want in zip(LAYOUTS, expected):
+        # embed_problem's own vocabulary: only the units after it are rendered
+        assert emitted(problem, mode) == (want, ids(problem.units[n:]))
+        # equal copies: every unit rendered, to the same text
+        assert emitted(hand_built, mode) == (want, ids(hand_built.units))
+        # the vocabulary of s4:vary under the name of s4:cumul: every unit
+        # rendered, and only the include file names change
+        out, got = emitted(other_config, mode)
+        assert got == ids(problem.units)
+        assert [t for _, t in out.axiom_files] == [t for _, t in want.axiom_files]
+        # one definition swapped: every unit rendered, the swap shows
+        out, got = emitted(swapped, mode)
+        assert got == ids(swapped.units)
+        text = out.problem_text + "".join(t for _, t in out.axiom_files)
+        assert "thf(mnot,definition,( mnot = ( ^ [Phi: $i > $o] : ( Phi ) ) ))." in text
+        assert "mnot = ( ^ [Phi: $i > $o,W: $i] :" not in text
+    # the vocabulary's own units in other groups: the include layout follows them
+    regrouped = dataclasses.replace(problem, groups=(embedding.LOGIC,) * len(problem.units))
+    out, got = emitted(regrouped, LAYOUTS[1])
+    assert got == ids(regrouped.units)
+    assert out.axiom_files[0][1] == ""
+    # a plain hol.Problem of the same units: every unit rendered, inline
+    plain = hol.Problem(problem.units)
+    assert emitted(plain, LAYOUTS[0]) == (expected[0], ids(plain.units))
+
+
+def test_cached_vocabulary_text_equals_rendering_unit_by_unit():
+    thf._rendered_vocabulary.cache_clear()
+    for logic in embedding.Logic:
+        for domain in embedding.DomainCondition:
+            problem = embedding.embed_problem(E1_FC, TranslationConfig(logic, domain))
+            for width in (60, 100, 10_000):
+                for mode in LAYOUTS:
+                    first = thf.emit_problem(problem, mode, width)
+                    second = thf.emit_problem(problem, mode, width)
+                    assert first == second == thf.emit_problem(copied(problem), mode, width)
+    assert thf._rendered_vocabulary.cache_info().currsize == 21 * 3
+
+
+def test_importing_thf_fills_no_cache():
+    src = str(pathlib.Path(embedding.__file__).parent.parent)
+    code = (
+        "from fml2hol import embedding, thf\n"
+        "print(thf._rendered_vocabulary.cache_info().currsize,"
+        " embedding._vocabulary.cache_info().currsize)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
